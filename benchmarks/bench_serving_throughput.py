@@ -1,16 +1,14 @@
-"""SERVE — serving-layer throughput: sequential vs pooled/batched/process.
+"""SERVE — serving-layer throughput: sequential vs batched/process.
 
 Measures queries/sec and p50/p95 latency of the
 :class:`repro.serving.LocalizationService` over pre-gathered anchor sets
 (measurement excluded — a server receives anchors, it doesn't simulate
-radios) in five configurations per scenario:
+radios) in four configurations per scenario:
 
 * ``cold-sequential`` — caches off, no workers: every query rebuilds the
   convex decomposition and boundary rows, the pre-serving baseline;
 * ``cached-sequential`` — topology + bisector caches on, warm; the
   bit-exactness and speedup reference for the parallel modes;
-* ``cached-pooled`` — caches on plus a thread pool (GIL-bound: included
-  as the documented anti-pattern the process/batched modes replace);
 * ``cached-batched`` — caches on, micro-batched stacked-LP solves
   (``lp_batch``): many queries advance per NumPy pass instead of one per
   Python pivot loop — the single-core way past the GIL ceiling;
@@ -43,7 +41,6 @@ from conftest import run_once
 QUERIES = 64
 PACKETS = 6
 REPS = 3
-THREAD_WORKERS = 4
 PROC_WORKERS = max(1, min(4, os.cpu_count() or 1))
 
 MODES = {
@@ -51,11 +48,9 @@ MODES = {
         max_workers=0, cache_topologies=False, cache_bisectors=False
     ),
     "cached-sequential": ServingConfig(max_workers=0),
-    "cached-pooled": ServingConfig(max_workers=THREAD_WORKERS),
     "cached-batched": ServingConfig(max_workers=0, lp_batch=QUERIES),
     "cached-processes": ServingConfig(
         max_workers=PROC_WORKERS,
-        worker_mode="process",
         lp_batch=max(2, QUERIES // (2 * PROC_WORKERS)),
     ),
 }
@@ -148,15 +143,10 @@ def test_serving_throughput(benchmark, save_result, save_json):
                     round(r["qps"] / seq["qps"], 2),
                 ]
             )
-        # The acceptance bar: at least one GIL-free mode clears 3x the
-        # warm sequential path (batched on one core, processes on many).
-        best = max(by_mode[m]["qps"] for m in PARALLEL_MODES)
-        assert best >= SPEEDUP_FLOOR * seq["qps"], (
-            f"{scenario_name}: parallel serving below {SPEEDUP_FLOOR}x "
-            f"(sequential {seq['qps']:.1f} q/s, best parallel "
-            f"{best:.1f} q/s = {best / seq['qps']:.2f}x)"
-        )
 
+    # The ledger records what was measured once every mode answered
+    # bit-identically; the speedup bar below is judged after it is
+    # written, so a missed bar still leaves comparable numbers behind.
     table = format_table(
         ["scenario", "mode", "qps", "p50(ms)", "p95(ms)", "vs-seq"], rows
     )
@@ -178,3 +168,14 @@ def test_serving_throughput(benchmark, save_result, save_json):
     )
     print()
     print(table)
+
+    # The acceptance bar: at least one GIL-free mode clears 3x the
+    # warm sequential path (batched on one core, processes on many).
+    for scenario_name, by_mode in results.items():
+        seq = by_mode["cached-sequential"]
+        best = max(by_mode[m]["qps"] for m in PARALLEL_MODES)
+        assert best >= SPEEDUP_FLOOR * seq["qps"], (
+            f"{scenario_name}: parallel serving below {SPEEDUP_FLOOR}x "
+            f"(sequential {seq['qps']:.1f} q/s, best parallel "
+            f"{best:.1f} q/s = {best / seq['qps']:.2f}x)"
+        )

@@ -9,8 +9,8 @@ Three claims of the ``repro.sessions`` subsystem, benchmarked:
   and geofence rules are pure functions of the fix stream).
 * **Worker-mode determinism** — a seeded multi-object walk served
   through a real :class:`repro.serving.LocalizationService` produces a
-  byte-identical session event log whether the service runs thread or
-  process workers: the serving layer's bit-exactness contract carries
+  byte-identical session event log whether the service runs inline or
+  on process workers: the serving layer's bit-exactness contract carries
   through the whole tracking stack.
 * **Confidence pays** — with 20% of fixes replaced by far-off
   zero-confidence positions (guard-flagged corruption), the
@@ -125,10 +125,10 @@ def _fleet_arm():
 
 
 # ----------------------------------------------------------------------
-# Service-driven arms: worker-mode determinism + confidence payoff
+# Service-driven arms: inline-vs-process determinism + confidence payoff
 # ----------------------------------------------------------------------
 
-def _service_fix_stream(worker_mode):
+def _service_fix_stream(workers):
     """Seeded walk served through a real service; per-tick fix rows.
 
     Returns ``[[(object_id, fix, confidence, truth), ...] per tick]``.
@@ -147,9 +147,7 @@ def _service_fix_stream(worker_mode):
     ]
     service = LocalizationService(
         scenario.plan.boundary,
-        config=ServingConfig(
-            max_workers=2, worker_mode=worker_mode, lp_batch=3
-        ),
+        config=ServingConfig(max_workers=workers, lp_batch=3),
     )
     ticks = []
     try:
@@ -208,19 +206,19 @@ def _median(values):
 
 def _tracking_campaign():
     fleet = _fleet_arm()
-    thread_fixes = _service_fix_stream("thread")
-    process_fixes = _service_fix_stream("process")
-    thread_digest, _ = _session_replay(thread_fixes)
+    inline_fixes = _service_fix_stream(0)
+    process_fixes = _service_fix_stream(2)
+    inline_digest, _ = _session_replay(inline_fixes)
     process_digest, _ = _session_replay(process_fixes)
     _, modulated_errors = _session_replay(
-        thread_fixes, modulate=True, corrupt=CORRUPTION_RATE
+        inline_fixes, modulate=True, corrupt=CORRUPTION_RATE
     )
     _, blind_errors = _session_replay(
-        thread_fixes, modulate=False, corrupt=CORRUPTION_RATE
+        inline_fixes, modulate=False, corrupt=CORRUPTION_RATE
     )
     worker_modes = {
-        "event_log_bit_identical": thread_digest == process_digest,
-        "thread_digest": thread_digest,
+        "event_log_bit_identical": inline_digest == process_digest,
+        "inline_digest": inline_digest,
         "process_digest": process_digest,
     }
     confidence = {
@@ -251,10 +249,10 @@ def test_tracking_scale_determinism_confidence(
         f"< floor {MIN_UPDATES_QPS:.0f}"
     )
 
-    # Invariant (b): worker mode never leaks into the event log.
+    # Invariant (b): process workers never leak into the event log.
     assert worker_modes["event_log_bit_identical"], (
-        "thread vs process serving workers diverged: "
-        f"{worker_modes['thread_digest'][:16]} != "
+        "inline vs process serving diverged: "
+        f"{worker_modes['inline_digest'][:16]} != "
         f"{worker_modes['process_digest'][:16]}"
     )
 
@@ -278,7 +276,7 @@ def test_tracking_scale_determinism_confidence(
             SERVICE_OBJECTS,
             SERVICE_OBJECTS * SERVICE_TICKS,
             "-",
-            "thread == process (byte-identical log)",
+            "inline == process (byte-identical log)",
         ],
         [
             "confidence",

@@ -338,25 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="solver threads behind the async/sync bridge",
     )
     gateway.add_argument(
-        "--replica-workers",
-        type=int,
-        default=0,
-        help="workers inside each replica service (0 = sequential)",
-    )
-    gateway.add_argument(
-        "--worker-mode",
-        choices=("thread", "process"),
-        default="thread",
-        help="replica worker kind: 'process' forks workers that share "
-        "the warm caches copy-on-write (needs --replica-workers >= 1)",
-    )
-    gateway.add_argument(
-        "--lp-batch",
-        type=int,
-        default=0,
-        help="stack up to N queries' relaxation LPs per replica solve",
-    )
-    gateway.add_argument(
         "--selftest",
         action="store_true",
         help="in-process client round-trip: socket answers must match the "
@@ -392,12 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--packets", type=int, default=8, help="CSI packets per link"
     )
     profile.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="worker threads (0 = sequential reference path)",
-    )
-    profile.add_argument(
         "--trace-out",
         metavar="FILE",
         default=None,
@@ -417,15 +392,8 @@ def _add_serving_args(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=0,
-        help="worker threads (0 = sequential reference path)",
-    )
-    parser.add_argument(
-        "--worker-mode",
-        choices=("thread", "process"),
-        default="thread",
-        help="worker kind: 'thread' shares the GIL, 'process' forks "
-        "workers that share the warm caches copy-on-write (needs "
-        "--workers >= 1)",
+        help="worker processes, which share the warm caches "
+        "copy-on-write (0 = inline reference path)",
     )
     parser.add_argument(
         "--lp-batch",
@@ -760,7 +728,6 @@ def _cmd_batch_locate(args: argparse.Namespace) -> int:
         scenario, system, queries = _serving_setup(args)
         config = ServingConfig(
             max_workers=args.workers,
-            worker_mode=args.worker_mode,
             lp_batch=args.lp_batch,
             cache_topologies=not args.no_cache,
             cache_bisectors=not args.no_cache,
@@ -832,7 +799,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         scenario, system, queries = _serving_setup(args)
         config = ServingConfig(
             max_workers=args.workers,
-            worker_mode=args.worker_mode,
             lp_batch=args.lp_batch,
             queue_capacity=args.queue_capacity,
             timeout_s=args.timeout,
@@ -843,11 +809,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _trace_tracer(args)
-    mode = (
-        f"{args.workers} {args.worker_mode} workers"
-        if args.workers
-        else "sequential"
-    )
+    mode = f"{args.workers} worker processes" if args.workers else "sequential"
     if args.lp_batch > 1:
         mode += f", lp-batch {args.lp_batch}"
     print(
@@ -916,8 +878,7 @@ def _print_cluster_metrics(snapshot: dict) -> None:
     print(
         f"  failovers {snapshot['failovers']}, retries "
         f"{snapshot['retries']} (denied {snapshot['retry_denied']}), "
-        f"hedges {snapshot['hedges']}, heartbeat rounds "
-        f"{snapshot['heartbeat_rounds']}"
+        f"heartbeat rounds {snapshot['heartbeat_rounds']}"
     )
     print(
         f"  latency p50 {snapshot['latency_p50_s'] * 1e3:.1f} ms, "
@@ -961,7 +922,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             heartbeat_every=args.heartbeat_every,
             serving=ServingConfig(
                 max_workers=args.workers,
-                worker_mode=args.worker_mode,
                 lp_batch=args.lp_batch,
                 timeout_s=args.timeout,
                 cache_topologies=not args.no_cache,
@@ -1208,7 +1168,6 @@ def _track_run(args: argparse.Namespace, modulate: bool = True) -> dict:
         plan.boundary,
         config=ServingConfig(
             max_workers=args.workers,
-            worker_mode=args.worker_mode,
             lp_batch=args.lp_batch,
             cache_topologies=not args.no_cache,
             cache_bisectors=not args.no_cache,
@@ -1401,7 +1360,6 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
 
     from .environment import get_scenario
     from .gateway import GatewayConfig, GatewayServer
-    from .serving import ServingConfig
 
     try:
         scenario = get_scenario(args.scenario)
@@ -1413,23 +1371,14 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
             replicas_per_shard=args.replicas,
             solver_workers=args.solver_workers,
         )
-        serving_config = ServingConfig(
-            max_workers=args.replica_workers,
-            worker_mode=args.worker_mode,
-            lp_batch=args.lp_batch,
-        )
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.selftest:
-        return _gateway_selftest(args, scenario, config, serving_config)
+        return _gateway_selftest(args, scenario, config)
 
     async def serve() -> None:
-        server = GatewayServer(
-            scenario.plan.boundary,
-            config=config,
-            serving_config=serving_config,
-        )
+        server = GatewayServer(scenario.plan.boundary, config=config)
         await server.start()
         print(
             f"gateway listening on http://{server.host}:{server.port} "
@@ -1448,7 +1397,7 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
     return 0
 
 
-def _gateway_selftest(args, scenario, config, serving_config=None) -> int:
+def _gateway_selftest(args, scenario, config) -> int:
     """In-process round trip over a real socket, gated on bit-exactness.
 
     Three checks, mirroring the ``cluster --selftest`` conventions:
@@ -1477,11 +1426,7 @@ def _gateway_selftest(args, scenario, config, serving_config=None) -> int:
 
     async def run(db_path: str) -> int:
         test_config = dc_replace(config, port=0, db_path=db_path)
-        server = GatewayServer(
-            scenario.plan.boundary,
-            config=test_config,
-            serving_config=serving_config,
-        )
+        server = GatewayServer(scenario.plan.boundary, config=test_config)
         await server.start()
         client = AsyncGatewayClient(server.host, server.port)
         failures = 0
@@ -1582,7 +1527,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             queries=args.count,
             packets=args.packets,
             seed=args.seed,
-            workers=args.workers,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,8 +6,8 @@ The distribution story over :mod:`repro.serving` (see DESIGN.md,
 deterministic consistent-hash router.  Topology keys pin each venue's
 queries to one shard (hot constraint caches), N-way replica groups give
 each shard redundancy, a heartbeat-driven health state machine feeds
-automatic failover, and budget-capped retries with backoff + optional
-hedging bound the blast radius of a dying replica.  A scripted
+automatic failover, and budget-capped retries with backoff bound the
+blast radius of a dying replica.  A scripted
 :class:`FaultPlan` injects crashes, latency spikes, queue-full storms
 and stale-topology windows so all of it is provable:
 

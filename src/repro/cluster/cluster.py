@@ -5,7 +5,7 @@ deterministic router.  Queries are consistent-hashed by topology key
 (:func:`~repro.cluster.router.route_key`) onto shards so each shard's
 constraint caches stay hot; each shard is an N-way replica group with
 heartbeat-driven health states, automatic failover, budget-capped
-retries with exponential backoff, and optional hedged requests.
+retries with exponential backoff.
 
 The contract that makes all of this verifiable:
 
@@ -15,7 +15,7 @@ The contract that makes all of this verifiable:
   pipeline, and routing/failover only choose *which* replica computes —
   never *what* it computes.
 * **Faults injected** → availability degrades gracefully (failover,
-  retry, hedging, weighted-centroid fallback) and every answer that is
+  retry, weighted-centroid fallback) and every answer that is
   not the full fresh SP estimate is **flagged** (``degraded`` +
   ``reason``), never silently wrong.  Stale-topology answers — a replica
   that missed a nomadic-AP move — are flagged ``"stale-topology"``.
@@ -26,7 +26,6 @@ from __future__ import annotations
 import random
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -71,7 +70,7 @@ class ClusterConfig:
         Fleet shape (see :class:`~repro.cluster.router.ShardRouter`).
     retry:
         Per-query :class:`~repro.cluster.retry.RetryPolicy` (backoff,
-        hedging, budget).
+        budget).
     serving:
         Per-replica :class:`~repro.serving.ServingConfig`; the default
         sequential config is the bit-exactness reference.
@@ -133,7 +132,6 @@ class ClusterResponse:
     replica: int | None = None
     attempts: int = 1
     failovers: int = 0
-    hedged: bool = False
     cache_hit: bool = False
     latency_s: float = 0.0
 
@@ -278,7 +276,6 @@ class LocalizationCluster:
         self._lock = threading.Lock()
         self._routed = 0
         self._topology_version = 0
-        self._hedge_pool: ThreadPoolExecutor | None = None
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -290,7 +287,6 @@ class LocalizationCluster:
             for replica in group:
                 replica.drain(timeout_s)
         snapshot = self.metrics_snapshot()
-        self._shutdown_hedge_pool()
         self._closed = True
         return snapshot
 
@@ -305,11 +301,6 @@ class LocalizationCluster:
     def __exit__(self, *exc_info) -> None:
         """Context-manager exit: close the cluster."""
         self.close()
-
-    def _shutdown_hedge_pool(self) -> None:
-        if self._hedge_pool is not None:
-            self._hedge_pool.shutdown(wait=True)
-            self._hedge_pool = None
 
     # ------------------------------------------------------------------
     # Query paths
@@ -436,7 +427,6 @@ class LocalizationCluster:
                             attempts=1,
                             failovers=0,
                             retries=0,
-                            hedged=False,
                             route_sp=run_sp,
                         )
         for pos in fallback:
@@ -580,7 +570,6 @@ class LocalizationCluster:
             started = time.perf_counter()
             tried: set[int] = set()
             failovers = retries = 0
-            hedged_any = False
             attempt = 0
             while attempt < policy.max_attempts:
                 candidate_idx = self._pick(shard_id, order, tried)
@@ -598,19 +587,7 @@ class LocalizationCluster:
                         time.sleep(delay)
                 replica = group[candidate_idx]
                 try:
-                    if attempt == 0 and policy.hedge_after_s is not None:
-                        resp, replica, hedged = self._attempt_hedged(
-                            group,
-                            shard_id,
-                            order,
-                            candidate_idx,
-                            request,
-                            query_index,
-                            route_sp,
-                        )
-                        hedged_any |= hedged
-                    else:
-                        resp = self._attempt(replica, request, query_index)
+                    resp = self._attempt(replica, request, query_index)
                 except _FAILOVER_ERRORS:
                     self.health.record_failure(replica.replica_id)
                     tried.add(replica.index)
@@ -626,7 +603,6 @@ class LocalizationCluster:
                     attempts=attempt + 1,
                     failovers=failovers,
                     retries=retries,
-                    hedged=hedged_any,
                     route_sp=route_sp,
                 )
             return self._unavailable(
@@ -637,7 +613,6 @@ class LocalizationCluster:
                 attempts=attempt,
                 failovers=failovers,
                 retries=retries,
-                hedged=hedged_any,
                 route_sp=route_sp,
             )
 
@@ -673,100 +648,6 @@ class LocalizationCluster:
         ):
             return replica.handle(request, query_index)
 
-    def _hedge_task(
-        self, replica: ClusterReplica, request: LocalizationRequest, query_index: int
-    ):
-        """Pool-thread attempt: never raises, reports its span for
-        re-parenting (pool threads root their own span trees)."""
-        sp = span(
-            "cluster.attempt",
-            shard=replica.shard_id,
-            replica=replica.index,
-            hedge=True,
-        )
-        span_id = getattr(sp, "span_id", None)
-        try:
-            with sp:
-                return replica.handle(request, query_index), None, span_id
-        except _FAILOVER_ERRORS as exc:
-            return None, exc, span_id
-
-    def _attempt_hedged(
-        self,
-        group: Sequence[ClusterReplica],
-        shard_id: int,
-        order: Sequence[int],
-        primary_idx: int,
-        request: LocalizationRequest,
-        query_index: int,
-        route_sp,
-    ):
-        """First attempt with a speculative duplicate after a threshold.
-
-        Returns ``(response, serving_replica, hedge_fired)``; raises the
-        primary's error when every launched copy failed.  Replicas are
-        deterministic, so whichever copy wins returns the identical
-        answer — hedging trades duplicate work for tail latency, never
-        correctness.
-        """
-        policy = self.config.retry
-        primary = group[primary_idx]
-        secondary_idx = next(
-            (
-                idx
-                for idx in order
-                if idx != primary_idx and self.health.available((shard_id, idx))
-            ),
-            None,
-        )
-        if secondary_idx is None:
-            return self._attempt(primary, request, query_index), primary, False
-        if self._hedge_pool is None:
-            self._hedge_pool = ThreadPoolExecutor(
-                max_workers=max(2, self.config.replicas_per_shard),
-                thread_name_prefix="repro-hedge",
-            )
-        tracer = get_tracer()
-        route_id = getattr(route_sp, "span_id", None)
-
-        def submit(replica: ClusterReplica):
-            future = self._hedge_pool.submit(
-                self._hedge_task, replica, request, query_index
-            )
-            if tracer is not None:
-                # Re-home the attempt's span tree under the route span as
-                # soon as the attempt finishes — including a hedge loser
-                # that completes after the winner already returned.
-                def _adopt(f, _tracer=tracer, _route=route_id):
-                    span_id = f.result()[2]
-                    if span_id is not None:
-                        _tracer.reparent([span_id], _route)
-
-                future.add_done_callback(_adopt)
-            return future
-
-        pending = {submit(primary): primary}
-        done, _ = wait(list(pending), timeout=policy.hedge_after_s)
-        hedged = False
-        # The hedge is speculative extra load, so it spends retry budget.
-        if not done and self.budget.allow_retry():
-            hedged = True
-            pending[submit(group[secondary_idx])] = group[secondary_idx]
-        last_error: BaseException | None = None
-        while pending:
-            done, _ = wait(list(pending), return_when=FIRST_COMPLETED)
-            for future in done:
-                replica = pending.pop(future)
-                resp, error, _ = future.result()
-                if error is None:
-                    # Loser (if any) keeps running; its answer is
-                    # identical and simply discarded on completion.
-                    return resp, replica, hedged
-                self.health.record_failure(replica.replica_id)
-                last_error = error
-        assert last_error is not None
-        raise last_error
-
     def _finish(
         self,
         request: LocalizationRequest,
@@ -778,7 +659,6 @@ class LocalizationCluster:
         attempts: int,
         failovers: int,
         retries: int,
-        hedged: bool,
         route_sp,
     ) -> ClusterResponse:
         """Wrap a replica answer: health, staleness flag, metrics, span."""
@@ -797,13 +677,11 @@ class LocalizationCluster:
             stale=stale,
             failovers=failovers,
             retries=retries,
-            hedged=hedged,
         )
         route_sp.set(
             replica=replica.index,
             attempts=attempts,
             failovers=failovers,
-            hedged=hedged,
             degraded=degraded,
         )
         return ClusterResponse(
@@ -816,7 +694,6 @@ class LocalizationCluster:
             replica=replica.index,
             attempts=attempts,
             failovers=failovers,
-            hedged=hedged,
             cache_hit=resp.cache_hit,
             latency_s=latency,
         )
@@ -831,7 +708,6 @@ class LocalizationCluster:
         attempts: int,
         failovers: int,
         retries: int,
-        hedged: bool,
         route_sp,
     ) -> ClusterResponse:
         """Last resort: the whole replica group is down (or the retry
@@ -847,7 +723,6 @@ class LocalizationCluster:
             degraded=True,
             failovers=failovers,
             retries=retries,
-            hedged=hedged,
             unavailable=True,
         )
         route_sp.set(
@@ -866,7 +741,6 @@ class LocalizationCluster:
             replica=None,
             attempts=attempts,
             failovers=failovers,
-            hedged=hedged,
             cache_hit=False,
             latency_s=latency,
         )

@@ -1,7 +1,7 @@
 """Cluster-level metrics: routing counters + fleet-wide aggregation.
 
 Two layers of observability meet here.  The cluster's own counters
-(routed queries, failovers, retries, hedges, degraded/unavailable
+(routed queries, failovers, retries, degraded/unavailable
 answers) live in :class:`ClusterMetrics` with a latency reservoir
 reused from the serving layer.  Per-replica
 :class:`~repro.serving.metrics.ServiceMetrics` snapshots are merged by
@@ -43,7 +43,7 @@ class ClusterMetrics:
     :class:`~repro.cluster.cluster.LocalizationCluster`):
 
     * :meth:`record_query` — one routed query finished, with its
-      failover/retry/hedge history and outcome flags;
+      failover/retry history and outcome flags;
     * :meth:`record_retry_denied` — the retry budget refused a retry;
     * :meth:`record_heartbeat_round` — one probe sweep ran.
     """
@@ -59,7 +59,6 @@ class ClusterMetrics:
         self.stale_flagged = 0
         self.failovers = 0
         self.retries = 0
-        self.hedges = 0
         self.retry_denied = 0
         self.heartbeat_rounds = 0
 
@@ -71,7 +70,6 @@ class ClusterMetrics:
         stale: bool = False,
         failovers: int = 0,
         retries: int = 0,
-        hedged: bool = False,
         unavailable: bool = False,
     ) -> None:
         """One routed query finished (possibly via the fallback)."""
@@ -88,8 +86,6 @@ class ClusterMetrics:
                 self.stale_flagged += 1
             self.failovers += failovers
             self.retries += retries
-            if hedged:
-                self.hedges += 1
 
     def record_failover(self, n: int = 1) -> None:
         """Failover attempts seen outside :meth:`record_query`.
@@ -132,7 +128,6 @@ class ClusterMetrics:
                 "stale_flagged": self.stale_flagged,
                 "failovers": self.failovers,
                 "retries": self.retries,
-                "hedges": self.hedges,
                 "retry_denied": self.retry_denied,
                 "heartbeat_rounds": self.heartbeat_rounds,
                 "availability": (

@@ -1,14 +1,11 @@
-"""Per-query retry policy: exponential backoff, jitter, hedging, budget.
+"""Per-query retry policy: exponential backoff, jitter, budget.
 
 Retries are how the cluster turns a replica failure into a served answer
 — and also how a dying shard amplifies its own load if left uncapped.
-Three mechanisms keep them safe:
+Two mechanisms keep them safe:
 
 * **exponential backoff + jitter** spaces attempts out and decorrelates
   the retry storms of concurrent callers;
-* an optional **hedged request** launches one speculative duplicate to
-  the next replica after a latency threshold (replicas are
-  deterministic, so whichever copy wins returns the identical answer);
 * a **retry budget** (token bucket fed by first attempts) bounds the
   cluster-wide retry ratio, so at most ``budget_ratio`` extra load can
   ever be generated no matter how many replicas are failing.
@@ -36,10 +33,6 @@ class RetryPolicy:
     jitter:
         Fraction of each backoff randomized away (``0`` = deterministic
         full backoff, ``0.5`` = uniform in ``[0.5, 1] * backoff``).
-    hedge_after_s:
-        Launch a speculative duplicate to the next replica when the
-        first attempt has not answered after this many seconds
-        (``None`` disables hedging).
     budget_ratio / budget_burst:
         Retry budget: retries may never exceed
         ``budget_ratio * first_attempts + budget_burst``.
@@ -50,7 +43,6 @@ class RetryPolicy:
     backoff_multiplier: float = 2.0
     max_backoff_s: float = 0.1
     jitter: float = 0.5
-    hedge_after_s: float | None = None
     budget_ratio: float = 0.2
     budget_burst: int = 3
 
@@ -65,8 +57,6 @@ class RetryPolicy:
             raise ValueError("max_backoff_s must be >= base_backoff_s")
         if not 0 <= self.jitter <= 1:
             raise ValueError("jitter must be in [0, 1]")
-        if self.hedge_after_s is not None and self.hedge_after_s < 0:
-            raise ValueError("hedge_after_s must be non-negative or None")
         if self.budget_ratio < 0:
             raise ValueError("budget_ratio must be non-negative")
         if self.budget_burst < 0:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -56,16 +56,6 @@ __all__ = [
     "PieceSolution",
     "LocationEstimate",
     "NomLocLocalizer",
-    "PieceMapper",
-]
-
-#: Strategy running ``solve_piece`` over every piece index.  The default
-#: is a plain sequential loop; a serving layer can substitute a worker
-#: pool — every strategy must preserve piece order so results stay
-#: bit-identical to the sequential path.
-PieceMapper = Callable[
-    [Callable[[int], "PieceSolution"], Sequence[int]],
-    Iterable["PieceSolution"],
 ]
 
 
@@ -393,27 +383,19 @@ class NomLocLocalizer:
     def locate(
         self,
         anchors: Sequence[Anchor],
-        piece_mapper: PieceMapper | None = None,
         quality_weights: Mapping[str, float] | None = None,
     ) -> LocationEstimate:
         """Estimate the object's position from anchor PDPs.
 
         Requires at least two anchors (one bisector); realistic use has
-        four static APs plus the nomadic sites.  ``piece_mapper``
-        optionally runs the independent per-piece solves through a worker
-        pool; it must preserve piece order.  ``quality_weights``
+        four static APs plus the nomadic sites.  ``quality_weights``
         optionally down-weights rows touching degraded links (see
         :meth:`build_shared_constraints`).
         """
         shared = self.build_shared_constraints(
             anchors, quality_weights=quality_weights
         )
-        solver = lambda idx: self.solve_piece(idx, shared)  # noqa: E731
-        indices = range(len(self.pieces))
-        if piece_mapper is None:
-            solutions = [solver(idx) for idx in indices]
-        else:
-            solutions = list(piece_mapper(solver, indices))
+        solutions = [self.solve_piece(idx, shared) for idx in range(len(self.pieces))]
         return self.estimate_from_solutions(solutions)
 
     def build_shared_constraints_batch(

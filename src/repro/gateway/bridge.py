@@ -13,11 +13,11 @@ CPU-bound, so every solve hops onto a small thread pool via
   instead of ballooning the process heap (the async sibling of the
   serving layer's :class:`~repro.serving.queueing.AdmissionQueue`).
 
-Observability crosses the boundary the same way the cluster's hedged
-attempts do: the solve runs under a ``gateway.solve`` span on the pool
-thread (where the solver's own spans nest naturally), the async side
-records a ``gateway.request`` span with the request's full wall time,
-and the solve's root span is re-parented under it
+Observability crosses the thread boundary too: the solve runs under a
+``gateway.solve`` span on the pool thread (where the solver's own spans
+nest naturally), the async side records a ``gateway.request`` span with
+the request's full wall time, and the solve's root span is re-parented
+under it
 (:meth:`repro.obs.Tracer.reparent`) — one tree per request, across the
 async/sync seam.
 """

@@ -261,7 +261,7 @@ def response_to_dict(response: Any) -> dict:
         wire["relaxation_cost"] = estimate.relaxation_cost
         if estimate.degradation_reasons:
             wire["degradation_reasons"] = list(estimate.degradation_reasons)
-    for field in ("shard", "replica", "attempts", "failovers", "hedged"):
+    for field in ("shard", "replica", "attempts", "failovers"):
         value = getattr(response, field, None)
         if value is not None:
             wire[field] = value

@@ -45,7 +45,7 @@ from ..cluster import ClusterConfig, LocalizationCluster
 from ..core import LocalizerConfig
 from ..geometry import Polygon
 from ..obs import dump_jsonl, get_tracer
-from ..serving import LocalizationRequest, ServingConfig
+from ..serving import LocalizationRequest
 from ..serving.metrics import json_safe
 from . import protocol
 from .bridge import SolverBridge
@@ -159,8 +159,8 @@ class GatewayServer:
     ----------
     area:
         Default venue polygon served by the backing cluster.
-    localizer_config / serving_config:
-        SP and per-replica serving knobs, passed through to the cluster.
+    localizer_config:
+        SP knobs, passed through to the cluster.
     config:
         Operational :class:`GatewayConfig`.
     sessions:
@@ -177,7 +177,6 @@ class GatewayServer:
         area: Polygon,
         localizer_config: LocalizerConfig | None = None,
         config: GatewayConfig | None = None,
-        serving_config: ServingConfig | None = None,
         sessions: "SessionManager | None" = None,
     ) -> None:
         self.config = config or GatewayConfig()
@@ -190,7 +189,6 @@ class GatewayServer:
             ClusterConfig(
                 num_shards=self.config.num_shards,
                 replicas_per_shard=self.config.replicas_per_shard,
-                serving=serving_config or ServingConfig(),
             ),
         )
         self.ledger = MeasurementLedger(

@@ -6,7 +6,7 @@ merge), so this package attributes wall time to stages the way the
 paper's SLV analysis attributes error to them:
 
 * :mod:`~repro.obs.trace` — nested, attributed, counted spans with
-  per-thread active stacks (safe under the serving worker pool);
+  per-thread active stacks (safe under the gateway's bridge threads);
 * :mod:`~repro.obs.instrument` — the process-global switch; ``span()``
   is a shared no-op while disabled, so always-on instrumentation in the
   hot path costs ~nothing (benchmark-guarded);

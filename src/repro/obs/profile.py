@@ -47,7 +47,6 @@ def profile_scenario(
     queries: int = 6,
     packets: int = 8,
     seed: int = 0,
-    workers: int = 0,
     tracer: Tracer | None = None,
 ) -> ProfileResult:
     """Trace ``queries`` end-to-end localization queries over a scenario.
@@ -60,18 +59,15 @@ def profile_scenario(
 
     from ..core import NomLocSystem, SystemConfig
     from ..environment import get_scenario
-    from ..serving import LocalizationService, ServingConfig
+    from ..serving import LocalizationService
 
     if queries < 1:
         raise ValueError("queries must be at least 1")
     scenario = get_scenario(scenario_name)
     system = NomLocSystem(scenario, SystemConfig(packets_per_link=packets))
-    config = ServingConfig(max_workers=workers)
     with capture(tracer) as active:
         errors = []
-        with LocalizationService(
-            scenario.plan.boundary, config=config
-        ) as service:
+        with LocalizationService(scenario.plan.boundary) as service:
             for i in range(queries):
                 site = scenario.test_sites[i % len(scenario.test_sites)]
                 rng = np.random.default_rng(np.random.SeedSequence([seed, i]))

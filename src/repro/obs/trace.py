@@ -4,9 +4,11 @@ A *span* is one timed stage of a localization query — ``csi.synthesize``,
 ``lp.solve``, ``serve.query`` — with monotonic start/duration, arbitrary
 attributes, and accumulating counters (e.g. simplex pivots).  Spans nest:
 each thread keeps its own active-span stack, so the tracer is safe under
-:class:`repro.serving.pool.WorkerPool` without any cross-thread locking
-on the hot path (only finishing a span takes the tracer lock, to append
-it to the shared finished list).
+the gateway's solver-bridge threads without any cross-thread locking on
+the hot path (only finishing a span takes the tracer lock, to append it
+to the shared finished list).  Spans recorded in worker processes come
+back as :meth:`Span.to_dict` records and are merged with
+:meth:`Tracer.adopt`.
 
 Design constraints, in order:
 
@@ -141,10 +143,10 @@ class Tracer:
     """Collects finished spans from any number of threads.
 
     Each thread sees its own active-span stack (``threading.local``), so
-    nested ``with`` blocks on one thread parent correctly while worker
-    threads start independent span trees — exactly the shape of a pooled
-    serving query, where ``serve.query`` runs on a worker and its nested
-    ``lp.solve`` spans land under it.
+    nested ``with`` blocks on one thread parent correctly while other
+    threads start independent span trees — exactly the shape of a
+    gateway solve, where ``gateway.solve`` runs on a bridge thread and
+    the solver's nested spans land under it.
     """
 
     def __init__(self) -> None:
@@ -221,8 +223,8 @@ class Tracer:
         """Re-home already-finished spans under a new parent.
 
         The in-process sibling of :meth:`adopt`: spans recorded on a
-        *different thread* of the same tracer (a hedged cluster attempt,
-        a worker-pool task) start as thread-local roots, because the
+        *different thread* of the same tracer (a gateway bridge solve)
+        start as thread-local roots, because the
         per-thread active stack cannot see the caller's span.  Once the
         caller knows which root spans belong to it, it re-parents them —
         ids are already unique within one tracer, so unlike ``adopt`` no

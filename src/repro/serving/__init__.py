@@ -3,16 +3,15 @@
 The production-facing face of the reproduction (see DESIGN.md, "Serving
 architecture"): a :class:`LocalizationService` that answers anchor-set
 queries from a long-lived process, reusing the topology-dependent
-constraint prefix across queries, running independent queries on a
-worker pool, shedding load through a bounded admission queue, and
+constraint prefix across queries, running queries inline or on worker
+processes, shedding load through a bounded admission queue, and
 degrading gracefully to the weighted-centroid baseline when the LP
 fails or a deadline expires.
 """
 
 from .cache import BisectorCache, CacheStats, LocalizerCache, topology_key
 from .metrics import LatencyReservoir, ServiceMetrics, json_safe, percentile
-from .pool import WorkerPool
-from .procpool import ProcessWorkerPool
+from .procpool import ProcessPool
 from .queueing import AdmissionQueue, QueueFullError
 from .service import (
     LocalizationRequest,
@@ -34,12 +33,11 @@ __all__ = [
     "LocalizationService",
     "LocalizerCache",
     "percentile",
-    "ProcessWorkerPool",
+    "ProcessPool",
     "QueueFullError",
     "ServiceClosedError",
     "ServiceMetrics",
     "ServingConfig",
     "topology_key",
     "weighted_centroid",
-    "WorkerPool",
 ]

@@ -9,9 +9,10 @@ whole constraint system per call:
   boundary/virtual-AP rows) comes from an LRU
   :class:`~repro.serving.cache.LocalizerCache`, so only the
   PDP-dependent pairwise rows are rebuilt per query;
-* independent queries run concurrently on a
-  :class:`~repro.serving.pool.WorkerPool` (sequential fallback:
-  ``max_workers=0`` — results are bit-identical either way);
+* queries run inline on the caller's thread (``max_workers=0``, the
+  reference path) or on a
+  :class:`~repro.serving.procpool.ProcessPool`
+  (``max_workers >= 1``) — results are bit-identical either way;
 * a bounded :class:`~repro.serving.queueing.AdmissionQueue` sheds load
   instead of buffering it, a cooperative per-query deadline bounds tail
   latency, and LP failures or timeouts degrade gracefully to the
@@ -24,6 +25,7 @@ whole constraint system per call:
 from __future__ import annotations
 
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -32,7 +34,7 @@ from ..geometry import Point, Polygon
 from ..obs import aggregate, get_tracer, span
 from .cache import BisectorCache, LocalizerCache
 from .metrics import ServiceMetrics, json_safe
-from .pool import WorkerPool
+from .procpool import ProcessPool
 from .queueing import AdmissionQueue, QueueFullError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a layer cycle
@@ -54,6 +56,16 @@ class _DeadlineExceeded(Exception):
 
 class ServiceClosedError(RuntimeError):
     """Raised on submissions to a service that is draining or closed."""
+
+
+def _resolved(fn, *args) -> Future:
+    """Run ``fn`` now and wrap the outcome in a completed future."""
+    future: Future = Future()
+    try:
+        future.set_result(fn(*args))
+    except BaseException as exc:  # noqa: BLE001 — future carries it
+        future.set_exception(exc)
+    return future
 
 
 def weighted_centroid(anchors: Sequence[Anchor]) -> Point:
@@ -85,21 +97,21 @@ class ServingConfig:
     Attributes
     ----------
     max_workers:
-        Query-level concurrency; ``0`` is the sequential reference path.
-    worker_mode:
-        ``"thread"`` (default) runs query workers on a
-        :class:`~repro.serving.pool.WorkerPool`; ``"process"`` runs them
-        on a :class:`~repro.serving.procpool.ProcessWorkerPool` — real
+        ``0`` serves every query inline on the caller's thread (the
+        reference path).  ``N >= 1`` runs :meth:`submit`, :meth:`batch`
+        and :meth:`serve` on ``N`` worker processes
+        (:class:`~repro.serving.procpool.ProcessPool`) — real
         parallelism for the GIL-bound LP solves, with the warmed
         topology/bisector caches fork-inherited by every worker.
-        Results stay bit-identical to sequential either way.
+        :meth:`locate` always runs inline.  Results stay bit-identical
+        either way.
     lp_batch:
         Micro-batch size for :meth:`batch`: groups of up to this many
         queries are solved through the stacked-LP path
         (:meth:`~repro.core.NomLocLocalizer.locate_batch`), advancing N
         queries per NumPy pass instead of one per Python pivot loop.
-        ``0``/``1`` disables batching.  Composes with ``worker_mode``:
-        each worker (thread or process) solves whole chunks.
+        ``0``/``1`` disables batching.  Composes with ``max_workers``:
+        each worker process solves whole chunks.
     queue_capacity:
         In-flight request bound; non-blocking submissions beyond it are
         rejected with :class:`~repro.serving.queueing.QueueFullError`.
@@ -115,17 +127,11 @@ class ServingConfig:
         (area, config) topology, LRU-bounded.
     cache_bisectors / max_cached_bisectors:
         Memoize normalized bisector halfspaces by anchor-position pair.
-    parallel_pieces:
-        Also solve a query's convex pieces concurrently when the query
-        is handled on the caller's thread (``locate``); batch/stream
-        paths keep pieces sequential inside each worker to avoid pool
-        self-starvation.
     latency_window:
         Size of the sliding latency reservoir behind the percentiles.
     """
 
     max_workers: int = 0
-    worker_mode: str = "thread"
     lp_batch: int = 0
     queue_capacity: int = 64
     timeout_s: float | None = None
@@ -134,7 +140,6 @@ class ServingConfig:
     max_cached_topologies: int = 8
     cache_bisectors: bool = True
     max_cached_bisectors: int = 4096
-    parallel_pieces: bool = False
     latency_window: int = 2048
 
     def __post_init__(self) -> None:
@@ -142,10 +147,6 @@ class ServingConfig:
         # fails loudly instead of deep inside some later query.
         if self.max_workers < 0:
             raise ValueError("max_workers must be >= 0")
-        if self.worker_mode not in ("thread", "process"):
-            raise ValueError("worker_mode must be 'thread' or 'process'")
-        if self.worker_mode == "process" and self.max_workers < 1:
-            raise ValueError("process worker_mode needs max_workers >= 1")
         if self.lp_batch < 0:
             raise ValueError("lp_batch must be >= 0")
         if self.queue_capacity < 1:
@@ -255,9 +256,9 @@ class LocalizationService:
     Bit-exactness contract: for any request, the served ``position`` and
     ``estimate`` equal what a fresh
     ``NomLocLocalizer(area, localizer_config).locate(anchors)`` returns —
-    caching and pooling only reorder/ reuse deterministic work, they
-    never change it.  The degraded fallback is the only exception and is
-    always flagged.
+    caching and process workers only move or reuse deterministic work,
+    they never change it.  The degraded fallback is the only exception
+    and is always flagged.
     """
 
     def __init__(
@@ -271,21 +272,16 @@ class LocalizationService:
         self.config = config or ServingConfig()
         self.metrics = ServiceMetrics(self.config.latency_window)
         self.queue = AdmissionQueue(self.config.queue_capacity)
-        if self.config.worker_mode == "process":
-            from .procpool import ProcessWorkerPool
-
-            self.proc_pool: "ProcessWorkerPool | None" = ProcessWorkerPool(
+        self.proc_pool = (
+            ProcessPool(
                 area,
                 self.localizer_config,
                 self.config,
                 self.config.max_workers,
             )
-            # Piece-level work stays inline: the query-level process pool
-            # is the concurrency mechanism.
-            self.pool = WorkerPool(0)
-        else:
-            self.proc_pool = None
-            self.pool = WorkerPool(self.config.max_workers)
+            if self.config.max_workers >= 1
+            else None
+        )
         self.topology_cache = (
             LocalizerCache(self.config.max_cached_topologies)
             if self.config.cache_topologies
@@ -329,7 +325,6 @@ class LocalizationService:
                 f"after {timeout_s}s drain"
             )
         snapshot = self.metrics_snapshot()
-        self.pool.shutdown()
         if self.proc_pool is not None:
             self.proc_pool.shutdown()
         return snapshot
@@ -359,9 +354,7 @@ class LocalizationService:
     ) -> LocalizationResponse:
         """Serve one query synchronously on the caller's thread.
 
-        This path may additionally parallelize the per-piece solves when
-        :attr:`ServingConfig.parallel_pieces` is set.  ``gate``
-        optionally carries the guard layer's verdicts (see
+        ``gate`` optionally carries the guard layer's verdicts (see
         :class:`LocalizationRequest`).
         """
         request = LocalizationRequest(
@@ -371,7 +364,7 @@ class LocalizationService:
             timeout_s=timeout_s,
             gate=gate,
         )
-        return self._handle(request, allow_piece_pool=True)
+        return self._handle(request)
 
     def locate_request(
         self, request: LocalizationRequest
@@ -383,7 +376,7 @@ class LocalizationService:
         gated pipelines) route through here so optional fields like
         ``gate`` survive the hop.
         """
-        return self._handle(request, allow_piece_pool=True)
+        return self._handle(request)
 
     def submit(self, request: LocalizationRequest | Sequence[Anchor]):
         """Enqueue one query without blocking; returns its future.
@@ -469,12 +462,7 @@ class LocalizationService:
         the sockets.
         """
         if window is None:
-            workers = (
-                self.proc_pool.max_workers
-                if self.proc_pool is not None
-                else self.pool.max_workers
-            )
-            window = max(1, 2 * workers)
+            window = max(1, 2 * self.config.max_workers)
         pending: list = []
         for request in requests:
             self._check_open()
@@ -559,7 +547,7 @@ class LocalizationService:
         return NomLocLocalizer(area, self.localizer_config).warm(), False
 
     def _dispatch(self, request: LocalizationRequest, admitted_at: float):
-        """Route one admitted request to the configured worker kind."""
+        """Run one admitted request inline or on a worker process."""
         if self.proc_pool is not None:
             return self._wrap_process_future(
                 self.proc_pool.submit_request(request),
@@ -567,21 +555,17 @@ class LocalizationService:
                 admitted_at,
                 unwrap_single=True,
             )
-        return self.pool.submit(
-            self._handle_and_release, request, admitted_at
-        )
+        return _resolved(self._handle_and_release, request, admitted_at)
 
     def _dispatch_chunk(
         self, chunk: list[LocalizationRequest], admitted_at: float
     ):
-        """Route one admitted micro-batch to the configured worker kind."""
+        """Run one admitted micro-batch inline or on a worker process."""
         if self.proc_pool is not None:
             return self._wrap_process_future(
                 self.proc_pool.submit_chunk(chunk), chunk, admitted_at
             )
-        return self.pool.submit(
-            self._handle_chunk_and_release, chunk, admitted_at
-        )
+        return _resolved(self._handle_chunk_and_release, chunk, admitted_at)
 
     def _wrap_process_future(
         self,
@@ -599,8 +583,6 @@ class LocalizationService:
         future resolves to the response (``unwrap_single``) or the
         response list.
         """
-        from concurrent.futures import Future
-
         wrapped: Future = Future()
 
         def _done(f) -> None:
@@ -647,7 +629,7 @@ class LocalizationService:
         chunk: list[LocalizationRequest],
         admitted_at: float,
     ) -> list[LocalizationResponse]:
-        """Worker entry point for a micro-batch: handle, free the slots."""
+        """Inline entry point for a micro-batch: handle, free the slots."""
         queue_wait_s = max(0.0, time.perf_counter() - admitted_at)
         for _ in chunk:
             self.metrics.record_queue_wait(queue_wait_s)
@@ -660,29 +642,24 @@ class LocalizationService:
     def _handle_and_release(
         self,
         request: LocalizationRequest,
-        admitted_at: float | None = None,
+        admitted_at: float,
     ) -> LocalizationResponse:
-        """Worker entry point: handle, then free the admission slot.
+        """Inline entry point: handle, then free the admission slot.
 
-        ``admitted_at`` is the admission timestamp the submitting thread
-        captured; the gap to now is the request's queue wait — the load
-        component of its latency, reported separately from compute.
+        ``admitted_at`` is the admission timestamp; the gap to now is the
+        request's queue wait — the load component of its latency,
+        reported separately from compute.
         """
-        queue_wait_s = (
-            time.perf_counter() - admitted_at if admitted_at is not None else 0.0
-        )
+        queue_wait_s = time.perf_counter() - admitted_at
         self.metrics.record_queue_wait(queue_wait_s)
         try:
-            return self._handle(
-                request, allow_piece_pool=False, queue_wait_s=queue_wait_s
-            )
+            return self._handle(request, queue_wait_s=queue_wait_s)
         finally:
             self.queue.release()
 
     def _handle(
         self,
         request: LocalizationRequest,
-        allow_piece_pool: bool,
         queue_wait_s: float = 0.0,
     ) -> LocalizationResponse:
         """Run one query through cache + solver, degrading on failure."""
@@ -714,7 +691,6 @@ class LocalizationService:
                     localizer,
                     request.anchors,
                     deadline,
-                    allow_piece_pool,
                     quality_weights=(
                         gate.quality_weights if gate is not None else None
                     ),
@@ -803,7 +779,7 @@ class LocalizationService:
                 # Deadlines are enforced cooperatively *between* piece
                 # solves; a stacked pass has no such boundary, so these
                 # take the scalar path.
-                responses[i] = self._handle(request, allow_piece_pool=False)
+                responses[i] = self._handle(request)
                 continue
             area = request.area if request.area is not None else self.area
             localizer, cache_hit = self._localizer_for(area)
@@ -820,10 +796,7 @@ class LocalizationService:
             except (RuntimeError, ArithmeticError):
                 # Per-request fallback: re-serving scalar re-runs the
                 # cache lookup and degrades (or raises) per query.
-                served = [
-                    self._handle(request, allow_piece_pool=False)
-                    for request in group
-                ]
+                served = [self._handle(request) for request in group]
             for i, response in zip(members, served):
                 responses[i] = response
         return responses  # type: ignore[return-value]  # every slot filled
@@ -883,7 +856,6 @@ class LocalizationService:
         localizer: NomLocLocalizer,
         anchors: Sequence[Anchor],
         deadline: float | None,
-        allow_piece_pool: bool,
         quality_weights=None,
     ) -> LocationEstimate:
         """The full SP pipeline with a cooperative between-piece deadline."""
@@ -898,15 +870,7 @@ class LocalizationService:
                 raise _DeadlineExceeded
             return localizer.solve_piece(index, shared)
 
-        indices = range(len(localizer.pieces))
-        if (
-            allow_piece_pool
-            and self.config.parallel_pieces
-            and self.pool.concurrent
-        ):
-            solutions = self.pool.map_ordered(solve_one, indices)
-        else:
-            solutions = [solve_one(idx) for idx in indices]
+        solutions = [solve_one(idx) for idx in range(len(localizer.pieces))]
         if deadline is not None and time.perf_counter() > deadline:
             raise _DeadlineExceeded
         return localizer.estimate_from_solutions(solutions)

@@ -2,7 +2,7 @@
 
 The cluster's two-sided contract: with no faults, any shard/replica
 shape answers bit-identically to one sequential LocalizationService;
-with faults injected, availability is preserved by failover/hedging and
+with faults injected, availability is preserved by failover/retries and
 every non-fresh answer is flagged, never silently wrong.
 """
 
@@ -312,24 +312,6 @@ class TestStaleTopology:
         assert not fresh.degraded
         assert snap["stale_flagged"] == 3
         assert snap["topology_version"] == 1
-
-
-class TestHedging:
-    def test_hedged_answers_stay_bit_exact(self, lab, anchor_sets, reference):
-        config = ClusterConfig(
-            num_shards=1,
-            replicas_per_shard=2,
-            retry=RetryPolicy(hedge_after_s=0.0),
-        )
-        with LocalizationCluster(lab.plan.boundary, config=config) as cluster:
-            responses = cluster.batch([a for _, a in anchor_sets])
-            snap = cluster.metrics_snapshot()
-        for resp, ref in zip(responses, reference):
-            assert not resp.degraded
-            assert resp.position == ref.position
-        # An immediate hedge threshold fires speculative duplicates
-        # until the retry budget runs dry.
-        assert snap["hedges"] >= 1
 
 
 class TestLifecycle:

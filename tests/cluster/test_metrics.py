@@ -19,15 +19,14 @@ class TestClusterMetrics:
         assert snap["stale_flagged"] == 1
         assert snap["availability"] == 2 / 3
 
-    def test_failover_retry_hedge_accounting(self):
+    def test_failover_retry_accounting(self):
         metrics = ClusterMetrics()
-        metrics.record_query(0.01, failovers=2, retries=1, hedged=True)
+        metrics.record_query(0.01, failovers=2, retries=1)
         metrics.record_retry_denied()
         metrics.record_heartbeat_round()
         snap = metrics.snapshot()
         assert snap["failovers"] == 2
         assert snap["retries"] == 1
-        assert snap["hedges"] == 1
         assert snap["retry_denied"] == 1
         assert snap["heartbeat_rounds"] == 1
 
@@ -72,12 +71,11 @@ class TestClusterMetricsToJson:
     def test_to_json_dumps_cleanly_with_stable_order(self):
         metrics = ClusterMetrics()
         metrics.record_query(0.01)
-        metrics.record_query(0.02, degraded=True, hedged=True)
+        metrics.record_query(0.02, degraded=True)
         doc = metrics.to_json()
         assert doc == json.loads(json.dumps(doc, sort_keys=True))
         assert list(doc) == sorted(doc)
         assert doc["routed"] == 2
-        assert doc["hedges"] == 1
 
     def test_to_json_matches_snapshot_values(self):
         metrics = ClusterMetrics()

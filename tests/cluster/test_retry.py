@@ -16,7 +16,6 @@ class TestRetryPolicy:
             {"backoff_multiplier": 0.5},
             {"base_backoff_s": 0.2, "max_backoff_s": 0.1},
             {"jitter": 1.5},
-            {"hedge_after_s": -1.0},
             {"budget_ratio": -0.1},
             {"budget_burst": -1},
         ],

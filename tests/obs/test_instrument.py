@@ -1,12 +1,14 @@
 """The instrumentation switch: no-op semantics, pool safety, bit-exactness."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from repro import obs
 from repro.core import NomLocSystem, SystemConfig
 from repro.environment import get_scenario
-from repro.serving import LocalizationService, ServingConfig, WorkerPool
+from repro.serving import LocalizationService, ServingConfig
 
 
 @pytest.fixture(autouse=True)
@@ -78,14 +80,15 @@ class TestSwitch:
 
 class TestWorkerPoolSafety:
     def test_spans_from_pool_workers_all_collected(self):
+        # The gateway's solver-bridge threads share one tracer.
         def traced_task(i):
             with obs.span("pool.task", index=i) as sp:
                 sp.incr("done")
             return i
 
         with obs.capture() as tracer:
-            with WorkerPool(max_workers=4) as pool:
-                results = pool.map_ordered(traced_task, range(32))
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(traced_task, range(32)))
         assert results == list(range(32))
         spans = [s for s in tracer.finished() if s.name == "pool.task"]
         assert len(spans) == 32
@@ -103,8 +106,9 @@ class TestWorkerPoolSafety:
         assert all(r.ok for r in responses)
         queries = [s for s in tracer.finished() if s.name == "serve.query"]
         assert len(queries) == len(anchor_sets)
-        # Each worker-thread query span carries the queue-wait/compute
-        # split and parents that thread's lp.solve spans.
+        # Each worker-process query span comes back adopted, carries the
+        # queue-wait/compute split and parents that worker's lp.solve
+        # spans.
         for q in queries:
             assert "queue_wait_s" in q.attributes
             assert q.attributes["compute_s"] > 0.0

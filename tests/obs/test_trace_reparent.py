@@ -34,7 +34,7 @@ class TestReparent:
         assert tracer.reparent([10**9], None) == 0
 
     def test_rehomes_cross_thread_roots(self):
-        # The hedged-attempt shape: a pool thread's span roots itself on
+        # The gateway-bridge shape: a pool thread's span roots itself on
         # that thread; the caller re-homes it under its own span later.
         tracer = Tracer()
         recorded = {}

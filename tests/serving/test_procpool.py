@@ -1,9 +1,9 @@
 """Tests for the process-based serving workers.
 
-The process pool's contract mirrors the thread pool's: real parallelism
-is an implementation detail, the served bits are not.  Every test here
-compares process-worker output against the sequential reference service
-with ``==`` on positions and LP diagnostics, never ``approx``.
+The process pool's contract: real parallelism is an implementation
+detail, the served bits are not.  Every test here compares
+process-worker output against the inline reference service with ``==``
+on positions and LP diagnostics, never ``approx``.
 
 Worker processes are expensive on a small CI box, so the pools stay at
 1-2 workers and the query counts small.
@@ -20,7 +20,7 @@ from repro.serving import (
     LocalizationService,
     ServingConfig,
 )
-from repro.serving.procpool import ProcessWorkerPool
+from repro.serving.procpool import ProcessPool
 
 
 @pytest.fixture(scope="module")
@@ -65,15 +65,14 @@ def assert_same_answer(seq, proc):
 
 class TestPoolLifecycle:
     def test_submit_request_matches_sequential(self, lab, requests, reference):
-        with ProcessWorkerPool(
+        with ProcessPool(
             lab.plan.boundary, None, ServingConfig(), max_workers=1
         ) as pool:
-            assert pool.concurrent
             for req, seq in zip(requests, reference):
                 assert_same_answer(seq, pool.submit_request(req).result())
 
     def test_submit_chunk_runs_stacked_path(self, lab, requests, reference):
-        with ProcessWorkerPool(
+        with ProcessPool(
             lab.plan.boundary, None, ServingConfig(), max_workers=1
         ) as pool:
             responses = pool.submit_chunk(requests).result()
@@ -86,7 +85,7 @@ class TestPoolLifecycle:
 
         if multiprocessing.get_start_method() != "fork":
             pytest.skip("fork start method only")
-        with ProcessWorkerPool(
+        with ProcessPool(
             lab.plan.boundary, None, ServingConfig(), max_workers=1
         ):
             # The parent builds + warms the template before the executor
@@ -94,25 +93,42 @@ class TestPoolLifecycle:
             template = procpool_module._WORKER_SERVICE
             assert template is not None
             assert template.config.max_workers == 0  # never nests pools
-            assert template.config.worker_mode == "thread"
 
     def test_worker_count_validated(self, lab):
-        with pytest.raises(ValueError):
-            ProcessWorkerPool(
-                lab.plan.boundary, None, ServingConfig(), max_workers=-2
-            )
+        for workers in (-2, 0):
+            with pytest.raises(ValueError):
+                ProcessPool(
+                    lab.plan.boundary,
+                    None,
+                    ServingConfig(),
+                    max_workers=workers,
+                )
 
     def test_shutdown_idempotent(self, lab):
-        pool = ProcessWorkerPool(
+        pool = ProcessPool(
             lab.plan.boundary, None, ServingConfig(), max_workers=1
         )
         pool.shutdown()
         pool.shutdown()
 
+    def test_workers_serve_their_own_venue(self, lab, requests):
+        # Regression: pool A's executor forks lazily, at its first
+        # submit, so its workers inherited whatever template the most
+        # recently built pool (B, another venue) left in the module
+        # global — and answered lab queries on the lobby polygon.
+        lobby = get_scenario("lobby")
+        config = ServingConfig(max_workers=1)
+        with LocalizationService(lab.plan.boundary) as inline:
+            expected = inline.locate_request(requests[0])
+        with LocalizationService(lab.plan.boundary, config=config) as service_a:
+            with LocalizationService(lobby.plan.boundary, config=config):
+                served = service_a.submit(requests[0]).result(timeout=60)
+        assert_same_answer(expected, served)
+
 
 class TestProcessModeService:
     def test_batch_bit_identical_to_sequential(self, lab, requests, reference):
-        config = ServingConfig(max_workers=2, worker_mode="process")
+        config = ServingConfig(max_workers=2)
         with LocalizationService(lab.plan.boundary, config=config) as svc:
             served = svc.batch(requests)
             snapshot = svc.metrics_snapshot()
@@ -124,9 +140,7 @@ class TestProcessModeService:
         assert snapshot["queue_depth"] == 0
 
     def test_chunked_batch_bit_identical(self, lab, requests, reference):
-        config = ServingConfig(
-            max_workers=1, worker_mode="process", lp_batch=3
-        )
+        config = ServingConfig(max_workers=1, lp_batch=3)
         with LocalizationService(lab.plan.boundary, config=config) as svc:
             served = svc.batch(requests)
             snapshot = svc.metrics_snapshot()
@@ -135,16 +149,17 @@ class TestProcessModeService:
         assert snapshot["completed"] == len(requests)
 
     def test_serve_stream_preserves_order(self, lab, requests, reference):
-        config = ServingConfig(max_workers=2, worker_mode="process")
+        config = ServingConfig(max_workers=2)
         with LocalizationService(lab.plan.boundary, config=config) as svc:
             streamed = list(svc.serve(requests))
         for seq, proc in zip(reference, streamed):
             assert_same_answer(seq, proc)
 
-    def test_process_mode_requires_workers(self):
-        with pytest.raises(ValueError, match="process worker_mode"):
-            ServingConfig(max_workers=0, worker_mode="process")
-
-    def test_unknown_worker_mode_rejected(self):
-        with pytest.raises(ValueError, match="worker_mode"):
-            ServingConfig(worker_mode="fiber")
+    def test_process_mode_requires_workers(self, lab):
+        # One knob: worker processes exist exactly when max_workers >= 1.
+        with LocalizationService(lab.plan.boundary) as inline:
+            assert inline.proc_pool is None
+        config = ServingConfig(max_workers=1)
+        with LocalizationService(lab.plan.boundary, config=config) as svc:
+            assert isinstance(svc.proc_pool, ProcessPool)
+            assert svc.proc_pool.max_workers == 1

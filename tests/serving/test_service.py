@@ -1,9 +1,9 @@
 """Tests for the LocalizationService façade.
 
 Covers the serving subsystem's contract: cached-vs-uncached and
-concurrent-vs-sequential answers are bit-identical to the direct
-localizer, backpressure rejects at capacity, and LP failures/timeouts
-degrade gracefully to the flagged weighted-centroid fallback.
+process-vs-inline answers are bit-identical to the direct localizer,
+backpressure rejects at capacity, and LP failures/timeouts degrade
+gracefully to the flagged weighted-centroid fallback.
 """
 
 import threading
@@ -89,35 +89,17 @@ class TestBitExactness:
                 assert resp.estimate.relaxation_cost == direct.relaxation_cost
                 assert not resp.degraded
 
-    def test_parallel_pieces_identical(self, lab, anchor_sets):
-        config = ServingConfig(max_workers=2, parallel_pieces=True)
-        localizer = NomLocLocalizer(lab.plan.boundary)
-        with LocalizationService(lab.plan.boundary, config=config) as service:
-            for _, anchors in anchor_sets[:3]:
-                assert (
-                    service.locate(anchors).position
-                    == localizer.locate(anchors).position
-                )
-
 
 class TestBackpressure:
     def test_submit_rejects_when_queue_full(self, lab, anchor_sets):
         _, anchors = anchor_sets[0]
-        config = ServingConfig(max_workers=1, queue_capacity=1)
-        gate = threading.Event()
+        config = ServingConfig(queue_capacity=1)
         with LocalizationService(lab.plan.boundary, config=config) as service:
-            inner_solve = service._solve
-
-            def blocking_solve(*args, **kwargs):
-                assert gate.wait(timeout=10)
-                return inner_solve(*args, **kwargs)
-
-            service._solve = blocking_solve
-            first = service.submit(anchors)  # occupies the only slot
+            service.queue.try_acquire()  # an in-flight query holds the slot
             with pytest.raises(QueueFullError):
                 service.submit(anchors)
-            gate.set()
-            assert first.result(timeout=10).position is not None
+            service.queue.release()
+            assert service.submit(anchors).result().position is not None
             snap = service.metrics_snapshot()
         assert snap["rejected"] == 1
         assert snap["admitted"] == 1
@@ -158,17 +140,9 @@ class TestQueueFullUnderConcurrency:
         service all bounce with QueueFullError, and the shed total is
         visible in the metrics snapshot."""
         _, anchors = anchor_sets[0]
-        config = ServingConfig(max_workers=1, queue_capacity=1)
-        gate = threading.Event()
+        config = ServingConfig(queue_capacity=1)
         with LocalizationService(lab.plan.boundary, config=config) as service:
-            inner_solve = service._solve
-
-            def blocking_solve(*args, **kwargs):
-                assert gate.wait(timeout=10)
-                return inner_solve(*args, **kwargs)
-
-            service._solve = blocking_solve
-            first = service.submit(anchors)  # saturates the only slot
+            service.queue.try_acquire()  # saturates the only slot
             outcomes = []
 
             def racer():
@@ -182,8 +156,8 @@ class TestQueueFullUnderConcurrency:
                 t.start()
             for t in threads:
                 t.join(timeout=10)
-            gate.set()
-            assert first.result(timeout=10).position is not None
+            service.queue.release()
+            assert service.submit(anchors).result().position is not None
             snap = service.metrics_snapshot()
         assert outcomes == [QueueFullError] * 4
         assert snap["rejected"] == 4
@@ -212,24 +186,15 @@ class TestLifecycle:
 
     def test_drain_waits_for_in_flight_queries(self, lab, anchor_sets):
         _, anchors = anchor_sets[0]
-        config = ServingConfig(max_workers=1)
-        gate = threading.Event()
-        service = LocalizationService(lab.plan.boundary, config=config)
-        inner_solve = service._solve
-
-        def blocking_solve(*args, **kwargs):
-            assert gate.wait(timeout=10)
-            return inner_solve(*args, **kwargs)
-
-        service._solve = blocking_solve
-        future = service.submit(anchors)
-        # The in-flight query is stuck; a bounded drain times out but
-        # keeps the pool alive so the query can still finish.
+        service = LocalizationService(lab.plan.boundary)
+        assert service.submit(anchors).result().position is not None
+        service.queue.try_acquire()  # a query still in flight
+        # The in-flight query holds its slot; a bounded drain times out
+        # but leaves the service able to finish it.
         with pytest.raises(TimeoutError):
             service.drain(timeout_s=0.05)
         assert service.closed
-        gate.set()
-        assert future.result(timeout=10).position is not None
+        service.queue.release()  # ... and the query completes
         snapshot = service.drain()
         assert snapshot["completed"] == 1
         assert snapshot["queue_depth"] == 0
@@ -342,18 +307,6 @@ class TestMicroBatching:
                     chunked.estimate.num_constraints
                     == seq.estimate.num_constraints
                 )
-
-    def test_lp_batch_composes_with_thread_workers(self, lab, anchor_sets):
-        anchors = [a for _, a in anchor_sets]
-        with LocalizationService(lab.plan.boundary) as reference:
-            expected = reference.batch(anchors)
-        config = ServingConfig(max_workers=2, lp_batch=2)
-        with LocalizationService(lab.plan.boundary, config=config) as service:
-            served = service.batch(anchors)
-            snap = service.metrics_snapshot()
-        assert [r.position for r in served] == [r.position for r in expected]
-        assert snap["completed"] == len(anchors)
-        assert snap["queue_depth"] == 0
 
     def test_deadline_requests_take_scalar_path(self, lab, anchor_sets):
         # A request with its own deadline cannot ride a stacked pass

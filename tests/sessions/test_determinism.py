@@ -80,7 +80,7 @@ class TestRepeatRuns:
 
 
 class TestWorkerModes:
-    def test_thread_and_process_serving_produce_identical_logs(self):
+    def test_inline_and_process_serving_produce_identical_logs(self):
         scenario = get_scenario("lab")
         system = NomLocSystem(
             scenario, SystemConfig(packets_per_link=PACKETS)
@@ -96,14 +96,12 @@ class TestWorkerModes:
             for i in range(OBJECTS)
         ]
 
-        def served_digest(worker_mode):
+        def served_digest(workers):
             zones = ZoneMap.grid(scenario.plan.boundary, 2, 3)
             manager = SessionManager(zones, SessionConfig())
             service = LocalizationService(
                 scenario.plan.boundary,
-                config=ServingConfig(
-                    max_workers=2, worker_mode=worker_mode, lp_batch=3
-                ),
+                config=ServingConfig(max_workers=workers, lp_batch=3),
             )
             try:
                 for tick in range(TICKS):
@@ -120,4 +118,4 @@ class TestWorkerModes:
                 service.close()
             return manager.event_log.digest()
 
-        assert served_digest("thread") == served_digest("process")
+        assert served_digest(0) == served_digest(2)
