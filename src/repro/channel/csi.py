@@ -26,7 +26,13 @@ from .multipath import PathComponent
 from .noise import NoiseModel
 from .propagation import PropagationModel, db_to_linear_amplitude
 
-__all__ = ["OFDMConfig", "CSIMeasurement", "CSISynthesizer", "INTEL5300_SUBCARRIERS"]
+__all__ = [
+    "OFDMConfig",
+    "CSIMeasurement",
+    "CSISynthesizer",
+    "LinkTerms",
+    "INTEL5300_SUBCARRIERS",
+]
 
 #: Subcarrier indices reported by the Intel 5300 CSI tool in 20 MHz HT mode.
 INTEL5300_SUBCARRIERS: tuple[int, ...] = (
@@ -159,6 +165,38 @@ def _intel5300_subsampling(
 
 
 @dataclass(frozen=True)
+class LinkTerms:
+    """The packet-invariant synthesis terms of one link's ``K`` paths.
+
+    Everything :meth:`CSISynthesizer.synthesize_batch` needs besides the
+    random draws; built by :meth:`CSISynthesizer.link_terms`.  The arrays
+    are read-only because a :class:`~repro.channel.LinkSimulator` shares
+    one instance across every batch on the link.
+
+    Attributes
+    ----------
+    amplitudes:
+        ``(K,)`` mean linear amplitude of each path, in sqrt(mW).
+    specular:
+        ``(K,)`` Rician specular (mean) part of each path's fading gain.
+    sigma:
+        ``(K,)`` per-quadrature std of each path's diffuse fading part.
+    phases:
+        ``(K, S)`` phase ramp ``exp(-j 2 pi f tau_k)`` of each path over
+        the ``S`` active subcarriers.
+    """
+
+    amplitudes: np.ndarray
+    specular: np.ndarray
+    sigma: np.ndarray
+    phases: np.ndarray
+
+    def __post_init__(self) -> None:
+        for array in (self.amplitudes, self.specular, self.sigma, self.phases):
+            array.flags.writeable = False
+
+
+@dataclass(frozen=True)
 class CSISynthesizer:
     """Generates per-packet CSI snapshots from a traced path set.
 
@@ -235,6 +273,29 @@ class CSISynthesizer:
             )
         return float(dbm)
 
+    def link_terms(self, paths: Sequence[PathComponent]) -> LinkTerms:
+        """The per-link terms of :meth:`synthesize_batch` for ``paths``.
+
+        They depend only on the path set and this synthesizer, so a caller
+        that measures the same link repeatedly (``LinkSimulator``)
+        computes them once and passes them to :meth:`synthesize_terms`.
+        """
+        freqs = self.ofdm.carrier_hz + self.ofdm.subcarrier_frequencies_hz()
+        delays = np.array([c.delay_s for c in paths], dtype=float)
+        k_factors = [self.fading.k_for(c) for c in paths]
+        return LinkTerms(
+            amplitudes=np.array([self.path_amplitude(c) for c in paths], dtype=float),
+            specular=np.array(
+                [math.sqrt(k / (k + 1.0)) for k in k_factors], dtype=float
+            ),
+            sigma=np.array(
+                [math.sqrt(1.0 / (2.0 * (k + 1.0))) for k in k_factors], dtype=float
+            ),
+            phases=np.exp(
+                (-2j * np.pi * freqs)[np.newaxis, :] * delays[:, np.newaxis]
+            ),
+        )
+
     def synthesize_batch(
         self,
         paths: Sequence[PathComponent],
@@ -244,24 +305,34 @@ class CSISynthesizer:
     ) -> list[CSIMeasurement]:
         """Independent CSI snapshots for ``num_packets`` packets.
 
-        Vectorized over the whole ``(packets, paths, subcarriers)`` batch:
-        the per-path phase ramps are computed once instead of per packet,
-        and fading/noise/RSSI math runs as matrix operations.  The RNG is
-        consumed in exactly the per-packet call order of the scalar
-        :meth:`synthesize` loop (fading draws, then noise, then RSSI
-        jitter, packet by packet), so the outputs are bit-identical to
+        Vectorized over the whole ``(packets, paths, subcarriers)`` batch
+        (see :meth:`_synthesize_batch_vectorized`); the outputs and the
+        generator's final stream position are bit-identical to
         :meth:`synthesize_batch_scalar` — enforced by
         ``benchmarks/bench_hotpath.py`` and ``tests/channel``.
         """
+        return self.synthesize_terms(
+            self.link_terms(paths), num_packets, rng, with_fading
+        )
+
+    def synthesize_terms(
+        self,
+        terms: LinkTerms,
+        num_packets: int,
+        rng: np.random.Generator,
+        with_fading: bool = True,
+    ) -> list[CSIMeasurement]:
+        """:meth:`synthesize_batch` over precomputed :meth:`link_terms`."""
         if num_packets < 0:
             raise ValueError("num_packets must be non-negative")
-        with span("csi.synthesize", packets=num_packets, paths=len(paths)):
+        num_paths = len(terms.amplitudes)
+        with span("csi.synthesize", packets=num_packets, paths=num_paths):
             if num_packets == 0:
                 return []
-            if not paths:
+            if not num_paths:
                 raise ValueError("need at least one path component")
             return self._synthesize_batch_vectorized(
-                paths, num_packets, rng, with_fading
+                terms, num_packets, rng, with_fading
             )
 
     def synthesize_batch_scalar(
@@ -288,7 +359,7 @@ class CSISynthesizer:
     # ------------------------------------------------------------------
     def _synthesize_batch_vectorized(
         self,
-        paths: Sequence[PathComponent],
+        terms: LinkTerms,
         num_packets: int,
         rng: np.random.Generator,
         with_fading: bool,
@@ -297,57 +368,58 @@ class CSISynthesizer:
 
         RNG draw-order contract (must match the scalar loop exactly): for
         each packet, (1) two standard normals per path — real then
-        imaginary fading component, in path order, drawn as one
-        ``standard_normal(2 * paths)`` array, which consumes the PCG64
-        stream identically to the scalar calls; (2) the noise model's
-        draws; (3) one RSSI jitter normal.  Only the draws stay in the
-        per-packet loop — all arithmetic on them is batched.
+        imaginary fading component, in path order; (2) the noise model's
+        draws — ``S`` real then ``S`` imaginary normals; (3) one RSSI
+        jitter normal (``rng.normal(0, s)`` is ``0.0 + s * z``).  Without
+        interference bursts every packet's draws are one contiguous run
+        of standard normals, so the whole batch is one
+        ``standard_normal(P * (2K + 2S + 1))`` call reshaped to one row
+        per packet; PCG64 fills it exactly as the scalar calls would.
+        Bursty noise interleaves a ``uniform()`` per packet, so it keeps
+        a per-packet draw loop.  All arithmetic on the draws is batched
+        either way.
         """
-        freqs = self.ofdm.carrier_hz + self.ofdm.subcarrier_frequencies_hz()
-        num_sc = len(freqs)
-        num_paths = len(paths)
-        amplitudes = [self.path_amplitude(c) for c in paths]
-        if with_fading:
-            k_factors = [self.fading.k_for(c) for c in paths]
-            specular = np.array(
-                [math.sqrt(k / (k + 1.0)) for k in k_factors]
-            )
-            sigma = np.array(
-                [math.sqrt(1.0 / (2.0 * (k + 1.0))) for k in k_factors]
-            )
-            gains = np.empty((num_packets, num_paths), dtype=complex)
+        num_paths, num_sc = terms.phases.shape
+        noise = self.noise
+        n_fade = 2 * num_paths if with_fading else 0
+        n_jitter = 1 if self.rssi_jitter_db > 0 else 0
+        if noise is not None and noise.burst_probability > 0:
+            fading = np.empty((num_packets, n_fade))
+            jitter_z = np.empty((num_packets, n_jitter))
+            noise_rows = np.empty((num_packets, num_sc), dtype=complex)
+            for p in range(num_packets):
+                fading[p] = rng.standard_normal(n_fade)
+                noise_rows[p] = noise.sample_subcarrier_noise(num_sc, rng)
+                jitter_z[p] = rng.standard_normal(n_jitter)
         else:
-            gains = None
-        noise_rows = (
-            np.empty((num_packets, num_sc), dtype=complex)
-            if self.noise is not None
-            else None
-        )
-        jitters = (
-            np.empty(num_packets) if self.rssi_jitter_db > 0 else None
-        )
-        for p in range(num_packets):
-            if gains is not None:
-                draws = rng.standard_normal(2 * num_paths)
-                gains.real[p] = specular + sigma * draws[0::2]
-                gains.imag[p] = sigma * draws[1::2]
-            if noise_rows is not None:
-                noise_rows[p] = self.noise.sample_subcarrier_noise(
-                    num_sc, rng
-                )
-            if jitters is not None:
-                jitters[p] = rng.normal(0.0, self.rssi_jitter_db)
+            n_noise = 2 * num_sc if noise is not None else 0
+            width = n_fade + n_noise + n_jitter
+            draws = rng.standard_normal(num_packets * width).reshape(
+                num_packets, width
+            )
+            fading = draws[:, :n_fade]
+            jitter_z = draws[:, width - n_jitter :]
+            if noise is not None:
+                re = draws[:, n_fade : n_fade + num_sc]
+                im = draws[:, n_fade + num_sc : n_fade + n_noise]
+                noise_rows = noise.subcarrier_sigma(num_sc) * (re + 1j * im)
+            else:
+                noise_rows = None
 
         csi = np.zeros((num_packets, num_sc), dtype=complex)
-        for idx, component in enumerate(paths):
-            phase = np.exp(-2j * np.pi * freqs * component.delay_s)
-            if gains is not None:
-                coeff = amplitudes[idx] * gains[:, idx]
-                csi += coeff[:, np.newaxis] * phase
-            else:
-                csi += amplitudes[idx] * phase
+        if with_fading:
+            gains = np.empty((num_packets, num_paths), dtype=complex)
+            gains.real = terms.specular + terms.sigma * fading[:, 0::2]
+            gains.imag = terms.sigma * fading[:, 1::2]
+            for idx in range(num_paths):
+                coeff = terms.amplitudes[idx] * gains[:, idx]
+                csi += coeff[:, np.newaxis] * terms.phases[idx]
+        else:
+            for idx in range(num_paths):
+                csi += terms.amplitudes[idx] * terms.phases[idx]
         if noise_rows is not None:
             csi += noise_rows
+        jitters = 0.0 + self.rssi_jitter_db * jitter_z[:, 0] if n_jitter else None
         rssi = self._report_rssi_batch(csi, jitters)
         return [
             CSIMeasurement(csi[p], self.ofdm, rssi[p])

@@ -59,6 +59,19 @@ class NoiseModel:
         """Total in-band noise power in milliwatts."""
         return dbm_to_mw(self.noise_floor_dbm)
 
+    def subcarrier_sigma(self, num_subcarriers: int, burst: bool = False) -> float:
+        """Per-quadrature noise std on each of ``num_subcarriers``.
+
+        ``burst`` adds one interference burst's power on top of the
+        thermal floor.
+        """
+        if num_subcarriers <= 0:
+            raise ValueError("need at least one subcarrier")
+        power_mw = self.noise_power_mw()
+        if burst:
+            power_mw += dbm_to_mw(self.burst_power_dbm)
+        return math.sqrt(power_mw / num_subcarriers / 2.0)
+
     def sample_subcarrier_noise(
         self, num_subcarriers: int, rng: np.random.Generator
     ) -> np.ndarray:
@@ -71,10 +84,8 @@ class NoiseModel:
         """
         if num_subcarriers <= 0:
             raise ValueError("need at least one subcarrier")
-        power_mw = self.noise_power_mw()
-        if self.burst_probability > 0 and rng.uniform() < self.burst_probability:
-            power_mw += dbm_to_mw(self.burst_power_dbm)
-        sigma = math.sqrt(power_mw / num_subcarriers / 2.0)
+        burst = self.burst_probability > 0 and rng.uniform() < self.burst_probability
+        sigma = self.subcarrier_sigma(num_subcarriers, burst)
         return sigma * (
             rng.standard_normal(num_subcarriers)
             + 1j * rng.standard_normal(num_subcarriers)

@@ -7,6 +7,8 @@ on/off/bursty, RSSI jitter and quantization on/off.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.channel import (
     SPEED_OF_LIGHT,
@@ -89,6 +91,53 @@ class TestSynthesizeBatchBitExactness:
         [vector] = synth.synthesize_batch(paths, 1, np.random.default_rng(3))
         assert np.array_equal(scalar.csi, vector.csi)
         assert scalar.rssi_dbm == vector.rssi_dbm
+
+
+@st.composite
+def _path_sets(draw):
+    """1-30 components of mixed kinds, blocked flags, lengths and losses."""
+    comps = []
+    for _ in range(draw(st.integers(min_value=1, max_value=30))):
+        kind = draw(st.sampled_from(list(PathKind)))
+        length = draw(st.floats(min_value=0.5, max_value=120.0, allow_nan=False))
+        bounces = draw(st.integers(min_value=1, max_value=2))
+        comps.append(
+            PathComponent(
+                kind,
+                length,
+                length / SPEED_OF_LIGHT,
+                draw(st.floats(min_value=0.0, max_value=80.0)),
+                bounces=0 if kind is PathKind.DIRECT else bounces,
+                blocked=draw(st.booleans()),
+            )
+        )
+    return comps
+
+
+class TestSynthesizeBatchProperty:
+    @given(
+        paths=_path_sets(),
+        packets=st.integers(min_value=0, max_value=40),
+        name=st.sampled_from(sorted(SYNTHESIZERS)),
+        with_fading=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scalar_reference(self, paths, packets, name, with_fading, seed):
+        synth = SYNTHESIZERS[name]
+        rng_scalar = np.random.default_rng(seed)
+        rng_vector = np.random.default_rng(seed)
+        scalar = synth.synthesize_batch_scalar(
+            paths, packets, rng_scalar, with_fading=with_fading
+        )
+        vector = synth.synthesize_batch(
+            paths, packets, rng_vector, with_fading=with_fading
+        )
+        assert len(scalar) == len(vector) == packets
+        for s, v in zip(scalar, vector):
+            assert s.csi.tobytes() == v.csi.tobytes()
+            assert s.rssi_dbm == v.rssi_dbm
+        assert rng_scalar.bit_generator.state == rng_vector.bit_generator.state
 
 
 class TestSynthesizeBatchEdges:
