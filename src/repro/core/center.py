@@ -15,19 +15,14 @@ estimators are provided and compared in the ABL-CTR ablation:
 from __future__ import annotations
 
 import enum
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ..geometry import HalfSpace, Point, Polygon, intersect_halfspaces
-from ..optimize import analytic_center, chebyshev_center, chebyshev_center_batch
+from ..geometry import Point, Polygon
+from ..optimize import analytic_center, chebyshev_center_batch
 
-__all__ = [
-    "CenterMethod",
-    "region_center",
-    "region_centers_batch",
-    "feasible_polygon",
-]
+__all__ = ["CenterMethod", "region_centers_batch"]
 
 
 class CenterMethod(enum.Enum):
@@ -36,62 +31,6 @@ class CenterMethod(enum.Enum):
     CENTROID = "centroid"
     CHEBYSHEV = "chebyshev"
     ANALYTIC = "analytic"
-
-
-def feasible_polygon(
-    halfspaces: Sequence[HalfSpace], bound: Polygon
-) -> Polygon | None:
-    """Exact feasible polygon: the halfspaces clipped against ``bound``."""
-    return intersect_halfspaces(halfspaces, bound)
-
-
-#: Sentinel distinguishing "no precomputed region passed" from a caller
-#: that already clipped and found the region empty (``region=None``).
-_UNSET: Any = object()
-
-
-def region_center(
-    halfspaces: Sequence[HalfSpace],
-    bound: Polygon,
-    method: CenterMethod = CenterMethod.CENTROID,
-    fallback: np.ndarray | None = None,
-    region: Polygon | None | Any = _UNSET,
-) -> Point | None:
-    """Centre of ``{z : halfspaces} ∩ bound`` by the chosen method.
-
-    Returns ``None`` when the region is empty and no ``fallback`` point is
-    given; with a ``fallback`` (typically the relaxation LP's feasible
-    point) a degenerate region still yields an estimate.  A caller that
-    already clipped the same halfspaces may pass the result as ``region``
-    (including ``None`` for "known empty") to skip the redundant clip —
-    clipping is deterministic, so the centre is unchanged.
-    """
-    if region is _UNSET:
-        region = feasible_polygon(halfspaces, bound)
-    if region is None:
-        if fallback is None:
-            return None
-        return Point(float(fallback[0]), float(fallback[1]))
-
-    if method is CenterMethod.CENTROID:
-        return region.centroid()
-
-    # LP-based centres work on the region's own halfspace description --
-    # the polygon edges -- which already includes the bound.
-    a_arr, b_arr = _region_rows(region)
-
-    if method is CenterMethod.CHEBYSHEV:
-        result = chebyshev_center(a_arr, b_arr)
-    elif method is CenterMethod.ANALYTIC:
-        result = analytic_center(a_arr, b_arr)
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unknown centre method {method!r}")
-
-    if not result.ok:
-        # Extremely thin regions can defeat the LP centres; the exact
-        # centroid is always available.
-        return region.centroid()
-    return Point(float(result.x[0]), float(result.x[1]))
 
 
 def _region_rows(region: Polygon) -> tuple[np.ndarray, np.ndarray]:
@@ -115,13 +54,14 @@ def region_centers_batch(
 ) -> list[Point]:
     """Centres of many already-clipped regions, LP methods stacked.
 
-    Bit-identical to calling :func:`region_center` per region with the
-    matching ``fallback`` and a precomputed ``region`` argument: empty
-    regions fall back to their LP feasible point, CENTROID takes each
-    polygon's exact centroid, and the LP-based centres (CHEBYSHEV via the
-    lockstep :func:`~repro.optimize.chebyshev_center_batch`, ANALYTIC via
-    the scalar barrier solve) run on each region's own edge rows with the
-    same thin-region centroid fallback.
+    Empty regions (``None``) fall back to their LP feasible point, and
+    CENTROID takes each polygon's exact centroid.  The LP-based centres
+    work on each region's own edge rows, which already include the
+    clipping bound: CHEBYSHEV through the lockstep
+    :func:`~repro.optimize.chebyshev_center_batch`, ANALYTIC through the
+    log-barrier :func:`~repro.optimize.analytic_center`.  Extremely thin
+    regions can defeat the LP centres; those lanes take the exact
+    centroid, which is always available.
     """
     centers: list[Point | None] = [None] * len(regions)
     lp_lanes: list[int] = []
@@ -130,15 +70,17 @@ def region_centers_batch(
             centers[i] = Point(float(fallback[0]), float(fallback[1]))
         elif method is CenterMethod.CENTROID:
             centers[i] = region.centroid()
-        elif method is CenterMethod.ANALYTIC:
-            centers[i] = region_center(
-                (), None, method, fallback=fallback, region=region
-            )
         else:
             lp_lanes.append(i)
     if lp_lanes:
         rows = [_region_rows(regions[i]) for i in lp_lanes]
-        for i, result in zip(lp_lanes, chebyshev_center_batch(rows)):
+        if method is CenterMethod.CHEBYSHEV:
+            results = chebyshev_center_batch(rows)
+        elif method is CenterMethod.ANALYTIC:
+            results = [analytic_center(a, b) for a, b in rows]
+        else:  # pragma: no cover - enum is closed
+            raise ValueError(f"unknown centre method {method!r}")
+        for i, result in zip(lp_lanes, results):
             if not result.ok:
                 centers[i] = regions[i].centroid()
             else:

@@ -20,6 +20,7 @@ when the nomadic AP wins all comparisons.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
@@ -77,8 +78,10 @@ class Anchor:
     nomadic: bool = False
 
     def __post_init__(self) -> None:
-        if self.pdp <= 0:
-            raise ValueError("anchor PDP must be positive")
+        # Written as a range test so NaN, which fails every comparison, is
+        # rejected along with zero, negatives and infinity.
+        if not (0.0 < self.pdp < math.inf):
+            raise ValueError("anchor PDP must be positive and finite")
 
 
 @dataclass(frozen=True, slots=True)

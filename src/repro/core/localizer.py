@@ -29,12 +29,7 @@ from ..geometry import (
     intersect_halfspaces_batch,
 )
 from ..obs import span
-from .center import (
-    CenterMethod,
-    feasible_polygon,
-    region_center,
-    region_centers_batch,
-)
+from .center import CenterMethod, region_centers_batch
 from .constraints import (
     BOUNDARY_WEIGHT,
     Anchor,
@@ -44,12 +39,7 @@ from .constraints import (
     pairwise_constraints,
     pairwise_constraints_batch,
 )
-from .relaxation import (
-    _SLACK_TOL,
-    RelaxationResult,
-    solve_relaxation,
-    solve_relaxation_batch,
-)
+from .relaxation import _SLACK_TOL, RelaxationResult, solve_relaxation_batch
 
 __all__ = [
     "LocalizerConfig",
@@ -135,13 +125,14 @@ class PieceSolution:
 class _LazyPieceSolution(PieceSolution):
     """A piece solution whose geometry is computed on first access.
 
-    The batched locate path only ever *uses* the region/centre of the
+    A query's estimate only ever *uses* the region/centre of the
     co-optimal winner pieces (``estimate_from_solutions`` reads losing
     pieces' cost alone), so losing pieces skip the polygon clip and
     centring entirely.  Diagnostics stay available: ``region``/``center``
-    are data descriptors that materialize through the localizer's scalar
-    geometry path on first read — the identical code the eager path runs,
-    so the values are bit-identical, just late.
+    are data descriptors that materialize on first read through the same
+    winner-only geometry, as a one-piece group (which is always its own
+    winner) — the identical code the eager pieces ran, so the values are
+    bit-identical, just late.
 
     Pickling materializes into a plain eager :class:`PieceSolution`
     (process pools ship solutions across workers; a thunk would not
@@ -165,8 +156,8 @@ class _LazyPieceSolution(PieceSolution):
     def _materialized(self) -> tuple[Polygon | None, Point]:
         geometry = self._geometry
         if geometry is None:
-            eager = self._localizer._solution_from_relaxation(
-                self.piece_index, self.relaxation
+            [[eager]] = self._localizer._winner_lazy_solutions(
+                [[(self.piece_index, self.relaxation)]]
             )
             geometry = (eager.region, eager.center)
             object.__setattr__(self, "_geometry", geometry)
@@ -464,32 +455,23 @@ class NomLocLocalizer:
         if not queries:
             return []
         weights: Sequence[Mapping[str, float] | None]
-        weights = quality_weights or [None] * len(queries)
+        if quality_weights is None:
+            weights = [None] * len(queries)
+        else:
+            weights = quality_weights
         if len(weights) != len(queries):
             raise ValueError("quality_weights length must match queries")
         shareds = self.build_shared_constraints_batch(
             queries, quality_weights=weights, bisector_cache=bisector_cache
         )
-        indices = list(range(len(self.pieces)))
-        with span(
-            "lp.solve_batch", queries=len(queries), pieces=len(indices)
-        ) as sp:
-            systems = []
-            for shared, mats in shareds:
-                for index in indices:
-                    systems.append(
-                        self.assemble_piece_system(
-                            index, shared, shared_matrices=mats
-                        )
-                    )
-            sp.incr("rows", sum(len(s) for s in systems))
-            relaxations = solve_relaxation_batch(systems)
-        npieces = len(indices)
-        groups = [
-            list(zip(indices, relaxations[qi * npieces : (qi + 1) * npieces]))
-            for qi in range(len(queries))
-        ]
-        solution_groups = self._winner_lazy_solutions(groups)
+        npieces = len(self.pieces)
+        solution_groups = self._solve_piece_groups(
+            shareds,
+            range(npieces),
+            "lp.solve_batch",
+            queries=len(queries),
+            pieces=npieces,
+        )
         return [
             self.estimate_from_solutions(solutions)
             for solutions in solution_groups
@@ -554,11 +536,10 @@ class NomLocLocalizer:
         this concurrently for different indices (and different queries):
         it only reads immutable state after the first boundary-row build.
         """
-        with span("lp.solve", piece=index) as sp:
-            system = self.assemble_piece_system(index, shared)
-            sp.incr("rows", len(system))
-            relaxation = solve_relaxation(system)
-            return self._solution_from_relaxation(index, relaxation)
+        [[solution]] = self._solve_piece_groups(
+            [(shared, None)], [index], "lp.solve", piece=index
+        )
+        return solution
 
     def solve_pieces_batch(
         self,
@@ -578,12 +559,50 @@ class NomLocLocalizer:
         ``lp.solve_batch`` name, and the two carry different attribute
         sets, so sharing one name would corrupt per-stage aggregation.
         """
-        with span("lp.solve_pieces", pieces=len(indices)) as sp:
-            systems = [self.assemble_piece_system(i, shared) for i in indices]
+        [solutions] = self._solve_piece_groups(
+            [(shared, None)], indices, "lp.solve_pieces", pieces=len(indices)
+        )
+        return solutions
+
+    def _solve_piece_groups(
+        self,
+        shareds: Sequence[
+            tuple[
+                Sequence[WeightedConstraint],
+                tuple[np.ndarray, np.ndarray, np.ndarray] | None,
+            ]
+        ],
+        indices: Sequence[int],
+        span_name: str,
+        **span_attrs,
+    ) -> list[list[PieceSolution]]:
+        """The one piece-solve body: assemble, relax, winner-only geometry.
+
+        ``shareds`` holds one ``(shared rows, optional (A, b, w) stack)``
+        pair per query; every query is solved over the same piece
+        ``indices``.  Each ``(query, piece)`` system goes through one
+        :func:`solve_relaxation_batch` call (under the caller's span
+        name), then :meth:`_winner_lazy_solutions` centres the winners.
+        Returns one solution list per query, in piece order.
+
+        The public entry points call this, never each other, so the
+        per-method call counts a tracer takes stay one per call.
+        """
+        indices = list(indices)
+        with span(span_name, **span_attrs) as sp:
+            systems = [
+                self.assemble_piece_system(index, shared, shared_matrices=mats)
+                for shared, mats in shareds
+                for index in indices
+            ]
             sp.incr("rows", sum(len(s) for s in systems))
             relaxations = solve_relaxation_batch(systems)
-        groups = [list(zip(indices, relaxations))]
-        return self._winner_lazy_solutions(groups)[0]
+        n = len(indices)
+        groups = [
+            list(zip(indices, relaxations[q * n : (q + 1) * n]))
+            for q in range(len(shareds))
+        ]
+        return self._winner_lazy_solutions(groups)
 
     def _winner_lazy_solutions(
         self,
@@ -638,16 +657,21 @@ class NomLocLocalizer:
     def _regions_batch(
         self, relaxations: Sequence[RelaxationResult]
     ) -> list[Polygon | None]:
-        """Batched candidate-round clipping, one lane per relaxation.
+        """Each relaxation's feasible region, clipped in batched rounds.
 
-        Replays :meth:`_solution_from_relaxation`'s candidate ladder —
-        satisfied rows, satisfied+ε, relaxed rows, relaxed+ε — directly on
-        each system's ``(A, b)`` arrays (no HalfSpace objects), clipping
-        all still-unresolved lanes per round through
-        :func:`~repro.geometry.intersect_halfspaces_batch`.  The array
-        arithmetic mirrors ``HalfSpace.relaxed`` exactly (``b + t``, then
-        ``+ ε`` as a second add), so regions are bit-identical to the
-        scalar rounds.
+        The region is centred over the rows the relaxation kept: the
+        minimally relaxed full stack is typically degenerate (directly
+        conflicting rows relaxed just enough to touch leave a region of
+        zero width), while the satisfied sub-system (``t_i = 0``) usually
+        has proper interior.  A lane whose candidate clips empty moves to
+        the next rung of the ladder — satisfied rows, satisfied rows
+        inflated by ε, every row loosened by its slack (``b + t``), then
+        that inflated by ε — so opposing ties that pin a line still yield
+        a thin but centreable region.  A lane empty on every rung gets
+        ``None`` and is centred on its LP feasible point.  Every round
+        clips all still-unresolved lanes through one
+        :func:`~repro.geometry.intersect_halfspaces_batch` call, against
+        the area's padded bounding box.
         """
         epsilon = 0.05  # metres (rows are unit-normalized)
         n = len(relaxations)
@@ -686,61 +710,6 @@ class NomLocLocalizer:
                     still.append(li)
             pending = still
         return regions
-
-    def _solution_from_relaxation(
-        self, index: int, relaxation: RelaxationResult
-    ) -> PieceSolution:
-        """Geometry half of a piece solve: centre the relaxed region.
-
-        Shared by the scalar and batched paths so both produce identical
-        :class:`PieceSolution` objects from identical relaxations.
-        """
-        piece = self.pieces[index]
-        # Centre over the rows the relaxation kept: the minimally
-        # relaxed full stack is typically degenerate (conflicting rows
-        # just touch), while the satisfied sub-system usually has
-        # proper interior.  If even the satisfied rows are degenerate
-        # (e.g. opposing ties pin a line), inflate them slightly to
-        # recover a thin but centreable region rather than falling
-        # back to an arbitrary LP vertex.
-        epsilon = 0.05  # metres (rows are unit-normalized)
-
-        def candidate_sets():
-            # Lazy: the satisfied set usually clips to a proper region on
-            # the first try, so the relaxed/inflated variants (and their
-            # HalfSpace constructions) are typically never built.
-            satisfied = relaxation.satisfied_halfspaces()
-            yield satisfied
-            yield [h.relaxed(epsilon) for h in satisfied]
-            relaxed = relaxation.relaxed_halfspaces()
-            yield relaxed
-            yield [h.relaxed(epsilon) for h in relaxed]
-
-        halfspaces = None
-        region = None
-        for candidate in candidate_sets():
-            if halfspaces is None:
-                halfspaces = candidate  # default if every clip fails
-            region = feasible_polygon(candidate, self._bound)
-            if region is not None:
-                halfspaces = candidate
-                break
-        center = region_center(
-            halfspaces,
-            self._bound,
-            self.config.center_method,
-            fallback=relaxation.feasible_point,
-            region=region,
-        )
-        if center is None:
-            # The LP relaxation's feasible point doubles as the center
-            # fallback, so this is unreachable for any solvable piece —
-            # raise (not assert) so the guard survives ``python -O``.
-            raise RuntimeError(
-                f"no center estimate for piece {index}: region_center "
-                "returned None despite the relaxation fallback"
-            )
-        return PieceSolution(index, piece, relaxation, region, center)
 
 
 def _merge_centers(winners: Sequence[PieceSolution]) -> Point:

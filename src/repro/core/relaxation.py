@@ -20,8 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..geometry import HalfSpace
-from ..optimize import LPStatus, solve_lp, solve_lp_batch
+from ..optimize import LPStatus, solve_lp_batch
 from ..optimize.linprog import InequalityLP
 from .constraints import ConstraintSystem
 
@@ -29,6 +28,21 @@ __all__ = ["RelaxationResult", "solve_relaxation", "solve_relaxation_batch"]
 
 #: Slacks below this are treated as exactly satisfied constraints.
 _SLACK_TOL = 1e-7
+
+#: Largest row violation ``A z - t - b`` a simplex answer may carry.
+#: Rounding leaves ~1e-14 on venue-scale systems; more means a pivot went
+#: wrong, and the reported cost then understates the violated rows'
+#: weighted slack.
+_RESIDUAL_TOL = 1e-11
+
+#: HiGHS options for re-solving a system the simplex got wrong.  The
+#: default feasibility tolerance (1e-7), times a row weight, can exceed
+#: the cost precision the simplex gives; the tighter one is tried first,
+#: and the defaults only if HiGHS stalls at it.
+_PRECISE_HIGHS = (
+    {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    {},
+)
 
 
 @dataclass(frozen=True)
@@ -65,33 +79,6 @@ class RelaxationResult:
             if t > _SLACK_TOL
         ]
 
-    def relaxed_halfspaces(self) -> list[HalfSpace]:
-        """Every row loosened by its slack.
-
-        Note that this region is often *degenerate*: two directly
-        conflicting rows relaxed minimally just touch, leaving a region of
-        zero width.  Centering should normally use
-        :meth:`satisfied_halfspaces` instead.
-        """
-        return [
-            c.halfspace.relaxed(float(max(t, 0.0)))
-            for c, t in zip(self.system.constraints, self.slacks)
-        ]
-
-    def satisfied_halfspaces(self) -> list[HalfSpace]:
-        """The rows the optimum kept (``t_i = 0``), unrelaxed.
-
-        Sacrificed rows (``t_i > 0``) correspond to proximity judgements
-        the LP decided were erroneous; dropping them leaves the consistent
-        sub-system whose feasible region has proper interior, which is
-        what the location estimate should be the centre of.
-        """
-        return [
-            c.halfspace
-            for c, t in zip(self.system.constraints, self.slacks)
-            if t <= _SLACK_TOL
-        ]
-
 
 #: Row count beyond which the dense from-scratch tableau becomes the
 #: bottleneck and the solve is routed to a sparse interior-point backend.
@@ -101,47 +88,12 @@ _LARGE_SYSTEM_ROWS = 80
 
 
 def solve_relaxation(system: ConstraintSystem) -> RelaxationResult:
-    """Solve Eq. 19 for a constraint system.
+    """Solve Eq. 19 for one constraint system.
 
-    Paper-scale systems (a handful of APs plus nomadic sites: tens of
-    rows) are solved by the from-scratch two-phase simplex.  Large
-    systems — many nomadic APs or long site histories — are routed to a
-    sparse interior-point backend (scipy's HiGHS), matching the paper's
-    own reliance on an interior-point solver for scalability
-    (Sec. IV-B4).  Both paths solve the identical LP; tests cross-check
-    them on shared instances.
-
-    Raises
-    ------
-    ValueError
-        If the system is empty.
-    RuntimeError
-        If the LP solver fails — it should not, since the relaxed problem
-        is always feasible (any ``z`` works with big enough ``t``) and
-        bounded below by 0.
+    A batch of one through :func:`solve_relaxation_batch`, which holds the
+    only construction of the LP and documents the backends and errors.
     """
-    if len(system) == 0:
-        raise ValueError("cannot relax an empty constraint system")
-    a, b, w = system.matrices()
-    m = len(system)
-
-    if m > _LARGE_SYSTEM_ROWS:
-        return _solve_relaxation_sparse(system, a, b, w)
-
-    # Variables: [z_x, z_y (free), t_1..t_m (nonneg)].
-    c = np.concatenate([[0.0, 0.0], w])
-    a_lp = np.hstack([a, -np.eye(m)])
-    nonneg = np.array([False, False] + [True] * m)
-
-    result = solve_lp(c, a_lp, b, nonneg)
-    if result.status is not LPStatus.OPTIMAL:
-        raise RuntimeError(
-            f"relaxation LP unexpectedly failed: {result.status} "
-            f"({result.message})"
-        )
-    z = result.x[:2]
-    t = np.maximum(result.x[2:], 0.0)
-    return RelaxationResult(z, t, float(result.objective), system)
+    return solve_relaxation_batch([system])[0]
 
 
 def solve_relaxation_batch(
@@ -149,14 +101,31 @@ def solve_relaxation_batch(
 ) -> list[RelaxationResult]:
     """Solve Eq. 19 for many constraint systems in stacked NumPy passes.
 
-    Systems are grouped by row count (the stacked-tableau shape) and each
-    group is handed to :func:`~repro.optimize.solve_lp_batch`; singleton
-    groups and systems above :data:`_LARGE_SYSTEM_ROWS` fall back to
-    :func:`solve_relaxation`.  Every returned
-    :class:`RelaxationResult` is **bit-identical** to what
-    :func:`solve_relaxation` produces for that system alone — the LP
-    construction is the same code and the batched simplex replays each
-    problem's scalar pivot sequence (see :mod:`repro.optimize.batched`).
+    Paper-scale systems (a handful of APs plus nomadic sites: tens of
+    rows) are grouped by row count (the stacked-tableau shape) and each
+    group is solved by the from-scratch two-phase simplex through
+    :func:`~repro.optimize.solve_lp_batch`, which replays every problem's
+    own pivot sequence, so a result does not depend on what else was in
+    the batch.  Large systems — many nomadic APs or long site histories,
+    above :data:`_LARGE_SYSTEM_ROWS` rows — are routed to a sparse
+    interior-point backend (scipy's HiGHS), matching the paper's own
+    reliance on an interior-point solver for scalability (Sec. IV-B4).
+
+    The relaxed problem is always feasible (any ``z`` works with big
+    enough ``t``) and bounded below by 0, so a simplex that stops short
+    of an optimum has been misled by rounding.  So has one whose point
+    breaks a row (``A z - t - b`` above :data:`_RESIDUAL_TOL`): a step
+    along a column whose entry sits below the pivot tolerance can drive a
+    basic variable negative.  Both take near-parallel rows; such a system
+    is re-solved by HiGHS at tight tolerances instead of failing or
+    returning an infeasible point.
+
+    Raises
+    ------
+    ValueError
+        If any system is empty.
+    RuntimeError
+        If the sparse backend fails too.
     """
     results: list[RelaxationResult | None] = [None] * len(systems)
     groups: dict[int, list[int]] = {}
@@ -165,13 +134,11 @@ def solve_relaxation_batch(
         if m == 0:
             raise ValueError("cannot relax an empty constraint system")
         if m > _LARGE_SYSTEM_ROWS:
-            results[i] = solve_relaxation(system)
+            results[i] = _solve_relaxation_sparse(system)
         else:
             groups.setdefault(m, []).append(i)
     for m, idxs in groups.items():
-        if len(idxs) == 1:
-            results[idxs[0]] = solve_relaxation(systems[idxs[0]])
-            continue
+        # Variables: [z_x, z_y (free), t_1..t_m (nonneg)].
         nonneg = np.array([False, False] + [True] * m)
         neg_eye = -np.eye(m)  # shared across the group: hstack copies it
         problems = []
@@ -181,34 +148,43 @@ def solve_relaxation_batch(
             a_lp = np.hstack([a, neg_eye])
             problems.append(InequalityLP(c, a_lp, b, nonneg))
         for i, result in zip(idxs, solve_lp_batch(problems)):
-            if result.status is not LPStatus.OPTIMAL:
-                raise RuntimeError(
-                    f"relaxation LP unexpectedly failed: {result.status} "
-                    f"({result.message})"
-                )
-            z = result.x[:2]
-            t = np.maximum(result.x[2:], 0.0)
-            results[i] = RelaxationResult(
-                z, t, float(result.objective), systems[i]
-            )
+            if result.status is LPStatus.OPTIMAL:
+                a, b, _w = systems[i].matrices()
+                z = result.x[:2]
+                t = np.maximum(result.x[2:], 0.0)
+                if (a @ z - t - b).max() <= _RESIDUAL_TOL:
+                    results[i] = RelaxationResult(
+                        z, t, float(result.objective), systems[i]
+                    )
+                    continue
+            results[i] = _solve_relaxation_sparse(systems[i], _PRECISE_HIGHS)
     return results  # type: ignore[return-value]  # every slot is filled
 
 
 def _solve_relaxation_sparse(
-    system: ConstraintSystem, a: np.ndarray, b: np.ndarray, w: np.ndarray
+    system: ConstraintSystem, attempts: Sequence[dict] = ({},)
 ) -> RelaxationResult:
-    """Large-system path: sparse interior-point via scipy (HiGHS)."""
+    """Large-system path: sparse interior-point via scipy (HiGHS).
+
+    ``attempts`` are HiGHS option sets, tried in order until one solves.
+    """
     from scipy import sparse
     from scipy.optimize import linprog
 
+    a, b, w = system.matrices()
     m = len(system)
     c = np.concatenate([[0.0, 0.0], w])
     a_ub = sparse.hstack(
         [sparse.csr_matrix(a), -sparse.eye(m, format="csr")], format="csr"
     )
     bounds = [(None, None), (None, None)] + [(0, None)] * m
-    result = linprog(c, A_ub=a_ub, b_ub=b, bounds=bounds, method="highs")
-    if result.status != 0:
+    for options in attempts:
+        result = linprog(
+            c, A_ub=a_ub, b_ub=b, bounds=bounds, method="highs", options=options
+        )
+        if result.status == 0:
+            break
+    else:
         raise RuntimeError(
             f"sparse relaxation LP failed: status {result.status} "
             f"({result.message})"

@@ -39,6 +39,7 @@ Message reference (see DESIGN.md §11 for example payloads):
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Mapping, Sequence
 
 from ..core import Anchor
@@ -139,6 +140,8 @@ def anchor_from_dict(record: Mapping) -> Anchor:
         )
     if not isinstance(name, str) or not name:
         raise ProtocolError("bad-anchor", "anchor name must be a non-empty string")
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ProtocolError("bad-anchor", "anchor coordinates must be finite")
     try:
         return Anchor(
             name=name,
@@ -146,7 +149,7 @@ def anchor_from_dict(record: Mapping) -> Anchor:
             pdp=pdp,
             nomadic=bool(record.get("nomadic", False)),
         )
-    except ValueError as exc:  # e.g. non-positive PDP
+    except ValueError as exc:  # e.g. non-positive or non-finite PDP
         raise ProtocolError("bad-anchor", str(exc))
 
 

@@ -224,8 +224,10 @@ def _intersect_rows(
     """
     verts: list[tuple[float, float]] | None
     verts = [(p.x, p.y) for p in bound.vertices]
-    for j in range(len(b)):
-        verts = _clip_coords(verts, float(a[j, 0]), float(a[j, 1]), float(b[j]))
+    # tolist() converts each stack once: per-element numpy indexing costs
+    # as much as a clip step on paper-scale stacks (same float64 values).
+    for (ax, ay), bj in zip(a.tolist(), b.tolist()):
+        verts = _clip_coords(verts, ax, ay, bj)
         if verts is None:
             return None
     return Polygon(tuple(Point(float(px), float(py)) for px, py in verts))

@@ -87,6 +87,11 @@ def simplex_standard_form_batch(
     """
     if not problems:
         return []
+    if len(problems) == 1:
+        # A batch of one gains nothing from stacking: the scalar path is
+        # the reference, and it validates its own input.
+        [(c, a_eq, b_eq)] = problems
+        return [simplex_standard_form(c, a_eq, b_eq, max_iterations)]
     parsed: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     for c, a_eq, b_eq in problems:
         c = np.asarray(c, dtype=float).ravel()
@@ -103,9 +108,8 @@ def simplex_standard_form_batch(
         raise ValueError(
             "batched simplex needs same-shape problems; group by shape first"
         )
-    if m == 0 or len(parsed) == 1:
-        # Constraint-free problems resolve without pivoting, and a batch of
-        # one gains nothing from stacking: the scalar path is the reference.
+    if m == 0:
+        # Constraint-free problems resolve without pivoting.
         return [simplex_standard_form(c, a, b, max_iterations) for c, a, b in parsed]
 
     batch = len(parsed)

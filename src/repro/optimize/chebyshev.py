@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linprog import InequalityLP, solve_lp, solve_lp_batch
+from .linprog import InequalityLP, solve_lp_batch
 from .types import LPResult, LPStatus
 
 __all__ = ["chebyshev_center", "chebyshev_center_batch"]
@@ -77,12 +77,7 @@ def chebyshev_center(a_ub: np.ndarray, b_ub: np.ndarray) -> LPResult:
         inscribed radius is unbounded (region not bounded in all
         directions).
     """
-    lp = _chebyshev_lp(a_ub, b_ub)
-    if isinstance(lp, LPResult):
-        return lp
-    c, a_aug, b, nonneg = lp
-    n = a_aug.shape[1] - 1
-    return _finish_chebyshev(solve_lp(c, a_aug, b, nonneg), n)
+    return chebyshev_center_batch([(a_ub, b_ub)])[0]
 
 
 def chebyshev_center_batch(
@@ -92,9 +87,9 @@ def chebyshev_center_batch(
 
     ``systems`` is a sequence of ``(a_ub, b_ub)`` pairs.  Problems are
     grouped by shape (the lockstep stack needs same-shape tableaux) and
-    each group solves through :func:`solve_lp_batch`; singleton groups and
-    degenerate inputs take the scalar path.  Every result is
-    **bit-identical** to :func:`chebyshev_center` on that system alone.
+    each group solves through :func:`solve_lp_batch`; degenerate inputs
+    resolve without an LP.  Every result is **bit-identical** to solving
+    that system alone (:func:`chebyshev_center` is the batch of one).
     """
     results: list[LPResult | None] = [None] * len(systems)
     groups: dict[tuple[int, int], list[int]] = {}
@@ -107,12 +102,6 @@ def chebyshev_center_batch(
         built[i] = lp
         groups.setdefault(lp[1].shape, []).append(i)
     for idxs in groups.values():
-        if len(idxs) == 1:
-            i = idxs[0]
-            c, a_aug, b, nonneg = built[i]
-            n = a_aug.shape[1] - 1
-            results[i] = _finish_chebyshev(solve_lp(c, a_aug, b, nonneg), n)
-            continue
         problems = [InequalityLP(*built[i]) for i in idxs]
         n = built[idxs[0]][1].shape[1] - 1
         for i, result in zip(idxs, solve_lp_batch(problems)):

@@ -20,7 +20,6 @@ from typing import Sequence
 import numpy as np
 
 from .batched import simplex_standard_form_batch
-from .simplex import simplex_standard_form
 from .types import LPResult, LPStatus
 
 __all__ = ["InequalityLP", "solve_lp", "solve_lp_batch"]
@@ -97,7 +96,7 @@ def solve_lp(
     if nonneg is None:
         nonneg = np.zeros(c.size, dtype=bool)
     problem = InequalityLP(c, np.asarray(a_ub, dtype=float), b_ub, nonneg)
-    return _solve(problem, max_iterations)
+    return solve_lp_batch([problem], max_iterations)[0]
 
 
 def solve_lp_batch(
@@ -110,12 +109,11 @@ def solve_lp_batch(
     ``nonneg`` mask — the shape of the stacked standard-form tableaux.
     The serving layer's micro-batches satisfy this naturally (same
     topology piece, same anchor count); callers with mixed shapes group
-    first and fall back to :func:`solve_lp` for the remainder.
+    first.  :func:`solve_lp` is the batch of one.
 
     Each returned :class:`~repro.optimize.types.LPResult` is bit-identical
-    to ``solve_lp`` on that problem alone: the standard-form conversion is
-    the same code, and the batched simplex replays each problem's scalar
-    pivot sequence (see :mod:`repro.optimize.batched`).
+    to solving that problem alone: the batched simplex replays each
+    problem's scalar pivot sequence (see :mod:`repro.optimize.batched`).
     """
     if not problems:
         return []
@@ -202,8 +200,3 @@ def _map_back(
         result.message,
     )
 
-
-def _solve(problem: InequalityLP, max_iterations: int) -> LPResult:
-    c_std, a_std, b_std, plus_col, minus_col = _standard_form(problem)
-    result = simplex_standard_form(c_std, a_std, b_std, max_iterations)
-    return _map_back(problem, result, plus_col, minus_col)

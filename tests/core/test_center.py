@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core import CenterMethod, feasible_polygon, region_center
-from repro.geometry import HalfSpace, Point, Polygon
+from repro.core import CenterMethod, region_centers_batch
+from repro.geometry import HalfSpace, Point, Polygon, intersect_halfspaces
 
 
 BOUND = Polygon.rectangle(-20, -20, 20, 20)
+NO_FALLBACK = np.array([np.nan, np.nan])
 
 
 def box_hs(cx, cy, half):
@@ -19,18 +20,26 @@ def box_hs(cx, cy, half):
     ]
 
 
+def center(hs, method=CenterMethod.CENTROID, fallback=NO_FALLBACK):
+    """Clip ``hs`` against the bound and centre it, as the localizer does."""
+    [c] = region_centers_batch(
+        [intersect_halfspaces(hs, BOUND)], [fallback], method
+    )
+    return c
+
+
 class TestFeasiblePolygon:
     def test_square(self):
-        region = feasible_polygon(box_hs(3, 4, 2), BOUND)
+        region = intersect_halfspaces(box_hs(3, 4, 2), BOUND)
         assert region is not None
         assert region.area() == pytest.approx(16.0)
 
     def test_empty(self):
         hs = [HalfSpace(1, 0, 0), HalfSpace(-1, 0, -1)]
-        assert feasible_polygon(hs, BOUND) is None
+        assert intersect_halfspaces(hs, BOUND) is None
 
     def test_no_constraints_returns_bound(self):
-        region = feasible_polygon([], BOUND)
+        region = intersect_halfspaces([], BOUND)
         assert region is not None
         assert region.area() == pytest.approx(BOUND.area())
 
@@ -41,8 +50,7 @@ class TestRegionCenter:
         [CenterMethod.CENTROID, CenterMethod.CHEBYSHEV, CenterMethod.ANALYTIC],
     )
     def test_square_center_all_methods(self, method):
-        c = region_center(box_hs(3, -2, 1.5), BOUND, method)
-        assert c is not None
+        c = center(box_hs(3, -2, 1.5), method)
         assert c.almost_equals(Point(3, -2), tol=1e-4)
 
     def test_methods_differ_on_asymmetric_region(self):
@@ -52,9 +60,8 @@ class TestRegionCenter:
             HalfSpace(-1, 0, 0),  # x >= 0
             HalfSpace(1, 8, 8),  # x + 8y <= 8
         ]
-        centroid = region_center(hs, BOUND, CenterMethod.CENTROID)
-        cheb = region_center(hs, BOUND, CenterMethod.CHEBYSHEV)
-        assert centroid is not None and cheb is not None
+        centroid = center(hs, CenterMethod.CENTROID)
+        cheb = center(hs, CenterMethod.CHEBYSHEV)
         assert not centroid.almost_equals(cheb, tol=1e-3)
 
     def test_all_methods_stay_inside(self):
@@ -71,20 +78,30 @@ class TestRegionCenter:
                     float(np.cos(theta) * cx + np.sin(theta) * cy + 0.3),
                 )
             )
-            region = feasible_polygon(hs, BOUND)
+            region = intersect_halfspaces(hs, BOUND)
             assert region is not None
             for method in CenterMethod:
-                c = region_center(hs, BOUND, method)
-                assert c is not None
+                c = center(hs, method)
                 assert region.contains(c) or any(
                     c.distance_to(v) < 1e-5 for v in region.vertices
                 )
 
-    def test_empty_region_without_fallback(self):
-        hs = [HalfSpace(1, 0, 0), HalfSpace(-1, 0, -1)]
-        assert region_center(hs, BOUND) is None
-
     def test_empty_region_with_fallback(self):
         hs = [HalfSpace(1, 0, 0), HalfSpace(-1, 0, -1)]
-        c = region_center(hs, BOUND, fallback=np.array([0.5, 0.5]))
-        assert c == Point(0.5, 0.5)
+        for method in CenterMethod:
+            c = center(hs, method, fallback=np.array([0.5, 0.5]))
+            assert c == Point(0.5, 0.5)
+
+    def test_lanes_are_independent(self):
+        """A batch centres each lane as it would alone, in input order."""
+        cases = [
+            (box_hs(3, -2, 1.5), np.array([0.0, 0.0])),
+            ([HalfSpace(1, 0, 0), HalfSpace(-1, 0, -1)], np.array([0.5, 0.5])),
+            (box_hs(-4, 1, 0.5), np.array([0.0, 0.0])),
+        ]
+        regions = [intersect_halfspaces(hs, BOUND) for hs, _ in cases]
+        fallbacks = [fb for _, fb in cases]
+        for method in CenterMethod:
+            batched = region_centers_batch(regions, fallbacks, method)
+            alone = [center(hs, method, fb) for hs, fb in cases]
+            assert batched == alone

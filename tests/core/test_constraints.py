@@ -30,6 +30,11 @@ class TestAnchor:
         with pytest.raises(ValueError):
             Anchor("X", Point(0, 0), 0.0)
 
+    @pytest.mark.parametrize("pdp", [float("nan"), float("inf")])
+    def test_finite_pdp_required(self, pdp):
+        with pytest.raises(ValueError, match="finite"):
+            Anchor("X", Point(0, 0), pdp)
+
 
 class TestWeightedConstraint:
     def test_positive_weight_required(self):

@@ -2,7 +2,7 @@
 
 ``locate_batch`` only clips/centres the co-optimal winner pieces; losing
 pieces get :class:`_LazyPieceSolution` stand-ins whose geometry
-materializes through the scalar path on first access.  These tests pin
+materializes on first access, as a one-piece group of the same path.  These tests pin
 the laziness itself (losers really do skip the geometry), the
 materialized values (bit-identical to the eager path), and the pickle
 escape hatch (process pools must receive plain eager solutions).
@@ -157,3 +157,10 @@ class TestLazyVsEagerEstimates:
         localizer = NomLocLocalizer(scenario.plan.boundary)
         with pytest.raises(ValueError, match="length must match"):
             localizer.locate_batch(queries, quality_weights=[None])
+
+    def test_empty_quality_weights_rejected_not_ignored(self):
+        # An empty list is a length mismatch, not "no weights".
+        scenario, queries = gather_queries("lab", 2)
+        localizer = NomLocLocalizer(scenario.plan.boundary)
+        with pytest.raises(ValueError, match="length must match"):
+            localizer.locate_batch(queries, quality_weights=[])

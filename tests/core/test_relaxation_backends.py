@@ -43,7 +43,7 @@ class TestBackendConsistency:
         system = random_system(seed, rows=20)
         a, b, w = system.matrices()
         dense = solve_relaxation(system)  # small -> simplex path
-        sparse = _solve_relaxation_sparse(system, a, b, w)
+        sparse = _solve_relaxation_sparse(system)
         assert dense.cost == pytest.approx(sparse.cost, abs=1e-6)
         # Both solutions satisfy their own relaxed systems.
         for res in (dense, sparse):

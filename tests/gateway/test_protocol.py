@@ -6,6 +6,7 @@ answers-in-process contract rests on it), malformed payloads must raise
 version gate must reject anything but the current protocol version.
 """
 
+import json
 import math
 
 import pytest
@@ -89,6 +90,15 @@ class TestValidation:
             ({"name": "AP", "x": "wat", "y": 2.0, "pdp": 3.0}, "bad-anchor"),
             ({"name": "AP", "x": 1.0, "y": 2.0}, "bad-anchor"),  # no pdp
             ({"name": "AP", "x": 1.0, "y": 2.0, "pdp": -1.0}, "bad-anchor"),
+            ({"name": "AP", "x": 1.0, "y": 2.0, "pdp": float("nan")}, "bad-anchor"),
+            ({"name": "AP", "x": 1.0, "y": 2.0, "pdp": float("inf")}, "bad-anchor"),
+            ({"name": "AP", "x": float("inf"), "y": 2.0, "pdp": 3.0}, "bad-anchor"),
+            ({"name": "AP", "x": 1.0, "y": float("-inf"), "pdp": 3.0}, "bad-anchor"),
+            ({"name": "AP", "x": float("nan"), "y": 2.0, "pdp": 3.0}, "bad-anchor"),
+            # What json.loads makes of the non-standard NaN/Infinity tokens.
+            (json.loads('{"name": "AP", "x": 1, "y": 2, "pdp": NaN}'), "bad-anchor"),
+            (json.loads('{"name": "AP", "x": Infinity, "y": 2, "pdp": 3}'),
+             "bad-anchor"),
         ],
     )
     def test_bad_anchor_records(self, record, code):

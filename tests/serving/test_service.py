@@ -204,11 +204,11 @@ class TestGracefulDegradation:
     def test_injected_lp_failure_degrades(self, lab, anchor_sets, monkeypatch):
         truth, anchors = anchor_sets[0]
 
-        def broken_relaxation(system):
+        def broken_relaxation(systems):
             raise RuntimeError("injected LP failure")
 
         monkeypatch.setattr(
-            localizer_module, "solve_relaxation", broken_relaxation
+            localizer_module, "solve_relaxation_batch", broken_relaxation
         )
         with LocalizationService(lab.plan.boundary) as service:
             resp = service.locate(anchors)
@@ -226,11 +226,11 @@ class TestGracefulDegradation:
     ):
         _, anchors = anchor_sets[0]
 
-        def broken_relaxation(system):
+        def broken_relaxation(systems):
             raise RuntimeError("injected LP failure")
 
         monkeypatch.setattr(
-            localizer_module, "solve_relaxation", broken_relaxation
+            localizer_module, "solve_relaxation_batch", broken_relaxation
         )
         config = ServingConfig(degrade_on_failure=False)
         with LocalizationService(lab.plan.boundary, config=config) as service:
