@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--durable",
         action="store_true",
         help="journal every applied fix to a WAL SQLite session store "
-        "with periodic full snapshots (see repro.sessions.durable)",
+        "with periodic fleet snapshots (see repro.sessions.durable)",
     )
     track.add_argument(
         "--db",
@@ -278,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=100,
         metavar="N",
-        help="journal entries between full snapshots (--durable)",
+        help="journal entries between snapshots (--durable)",
     )
     track.add_argument(
         "--group-commit",

@@ -7,21 +7,30 @@ determinism into a recovery story: a :class:`SessionStore` (the same
 WAL SQLite machinery as the gateway's measurement ledger, via
 :class:`repro.durable.WalDatabase`) journals **inputs**, not outputs —
 every applied fix and eviction sweep, stamped with a monotonic sequence
-number — and takes a periodic full snapshot of the manager (filter
-covariances and particle clouds *including RNG state*, FSM phases,
-geofence re-arm sets, analytics counters, the complete event history).
+number — and takes a periodic checkpoint of the manager.
 
-Recovery (:func:`recover`) is then: load the latest snapshot, replay
-the journal tail through the *existing* apply path
+A checkpoint costs the live fleet plus the events emitted since the
+previous one, never the whole history.  Its snapshot row holds the
+fleet (filter covariances and particle clouds *including RNG state*,
+FSM phases, geofence re-arm sets, analytics counters) and only the
+event log's head: its length and digest-chain value.  The history
+itself lives in the append-only ``events`` table, one canonical line
+per event; each checkpoint inserts just the lines not stored yet, in
+the same fsynced transaction as its snapshot row.
+
+Recovery (:func:`recover`) is then: load the latest snapshot and the
+first ``length`` event lines, rebuild the log and check its length and
+chain against the snapshot's recorded head, replay the journal tail
+through the *existing* apply path
 (:meth:`SessionManager.observe` / :meth:`SessionManager.evict_idle`),
 and verify.  Verification is built into the journal itself: each row
 carries the event log's post-apply digest-chain head
 (:meth:`~repro.sessions.events.EventLog.chain`), so after every
 replayed entry the recovered log must sit at exactly the recorded chain
 value — agreement certifies the recovered event stream chains onto the
-pre-crash prefix byte for byte, and any divergence raises
-:class:`RecoveryError` at the first bad entry instead of silently
-corrupting downstream analytics.
+pre-crash prefix byte for byte, and any divergence (or a missing or
+altered ``events`` row) raises :class:`RecoveryError` instead of
+silently corrupting downstream analytics.
 
 Write amplification: journaling every fix with a per-row fsync would
 swamp the tracking hot path, so the store **group-commits** — rows
@@ -32,6 +41,10 @@ batch: a SIGKILL loses at most the unflushed tail, which a resumed
 deterministic feed simply re-applies (``repro track --durable
 --resume`` does exactly this; the drill lives in
 ``benchmarks/bench_recovery.py``).
+
+Flushes and snapshots emit :mod:`repro.obs` spans (``durable.flush``
+with its row count; ``durable.snapshot`` with the fleet size, the new
+event lines and the blob bytes); single journal appends do not.
 """
 
 from __future__ import annotations
@@ -47,6 +60,7 @@ from typing import Sequence
 from ..durable import WalDatabase
 from ..environment import FloorPlan
 from ..geometry import Point
+from ..obs import span
 from .events import GeofenceRule
 from .manager import SessionConfig, SessionManager
 from .zones import ZoneMap
@@ -61,8 +75,9 @@ __all__ = [
     "SCHEMA_VERSION",
 ]
 
-#: Bumped on any incompatible schema change.
-SCHEMA_VERSION = 1
+#: Bumped on any incompatible schema change (2: the event history moved
+#: out of the snapshot blob into the ``events`` table).
+SCHEMA_VERSION = 2
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS journal (
@@ -77,6 +92,10 @@ CREATE TABLE IF NOT EXISTS snapshots (
     journal_seq INTEGER PRIMARY KEY,
     created_s   REAL NOT NULL,
     state       TEXT NOT NULL
+);
+CREATE TABLE IF NOT EXISTS events (
+    seq  INTEGER PRIMARY KEY,
+    line TEXT NOT NULL
 )
 """
 
@@ -187,6 +206,8 @@ class SessionStore(WalDatabase):
         self._pending: list[tuple[int, str, str, float, str, str]] = []
         row = self.query("SELECT COALESCE(MAX(seq), 0) FROM journal")
         self._next_seq = int(row[0][0]) + 1
+        row = self.query("SELECT COALESCE(MAX(seq) + 1, 0) FROM events")
+        self._events_stored = int(row[0][0])
 
     # ------------------------------------------------------------------
     # Journal
@@ -229,7 +250,8 @@ class SessionStore(WalDatabase):
                 rows,
             )
 
-        self.write(txn)
+        with span("durable.flush", rows=len(rows)):
+            self.write(txn)
         self._pending = []
 
     def journal_len(self) -> int:
@@ -270,33 +292,54 @@ class SessionStore(WalDatabase):
     # ------------------------------------------------------------------
     # Snapshots
     # ------------------------------------------------------------------
-    def save_snapshot(self, journal_seq: int, state: dict) -> None:
-        """Durably store a full manager snapshot covering ``journal_seq``.
+    def save_snapshot(
+        self, journal_seq: int, state: dict, events: Sequence[str] = ()
+    ) -> None:
+        """Durably store a fleet snapshot covering ``journal_seq``.
 
-        The journal buffer is flushed first, inside the same store —
-        a snapshot must never claim coverage of rows that are not on
-        disk.  Old snapshots beyond ``keep_snapshots`` are pruned in the
-        same transaction.
+        ``events`` are the canonical lines of the events emitted since
+        the previous snapshot; they are appended to the ``events`` table
+        from :meth:`event_count` on.  The journal buffer is flushed
+        first, inside the same store — a snapshot must never claim
+        coverage of rows that are not on disk.  The snapshot row, the
+        new event lines and the pruning of snapshots beyond
+        ``keep_snapshots`` commit in one transaction.
         """
-        self.flush()
-        blob = json.dumps(state, sort_keys=True, separators=(",", ":"))
-        now = time.time()
-        keep = self.keep_snapshots
-
-        def txn(conn: sqlite3.Connection) -> None:
-            conn.execute(
-                "INSERT OR REPLACE INTO snapshots"
-                "(journal_seq, created_s, state) VALUES (?, ?, ?)",
-                (journal_seq, now, blob),
+        with span("durable.snapshot") as sp:
+            self.flush()
+            # The state is a tree built fresh by state_dict(); skipping
+            # the encoder's cycle bookkeeping saves a dict op per node.
+            blob = json.dumps(
+                state, separators=(",", ":"), check_circular=False
             )
-            conn.execute(
-                "DELETE FROM snapshots WHERE journal_seq NOT IN"
-                " (SELECT journal_seq FROM snapshots"
-                "  ORDER BY journal_seq DESC LIMIT ?)",
-                (keep,),
-            )
+            first = self._events_stored
+            rows = [(first + i, line) for i, line in enumerate(events)]
+            now = time.time()
+            keep = self.keep_snapshots
 
-        self.write(txn)
+            def txn(conn: sqlite3.Connection) -> None:
+                conn.execute(
+                    "INSERT OR REPLACE INTO snapshots"
+                    "(journal_seq, created_s, state) VALUES (?, ?, ?)",
+                    (journal_seq, now, blob),
+                )
+                conn.executemany(
+                    "INSERT INTO events(seq, line) VALUES (?, ?)", rows
+                )
+                conn.execute(
+                    "DELETE FROM snapshots WHERE journal_seq NOT IN"
+                    " (SELECT journal_seq FROM snapshots"
+                    "  ORDER BY journal_seq DESC LIMIT ?)",
+                    (keep,),
+                )
+
+            self.write(txn)
+            self._events_stored += len(rows)
+            sp.set(
+                sessions=len(state.get("sessions", ())),
+                new_events=len(rows),
+                blob_bytes=len(blob),
+            )
 
     def latest_snapshot(self) -> tuple[int, dict] | None:
         """``(journal_seq, state)`` of the newest snapshot, or None."""
@@ -311,6 +354,21 @@ class SessionStore(WalDatabase):
     def snapshot_count(self) -> int:
         """Snapshots currently retained."""
         return int(self.query("SELECT COUNT(*) FROM snapshots")[0][0])
+
+    def event_count(self) -> int:
+        """Event lines stored — where the next snapshot's lines start."""
+        return self._events_stored
+
+    def event_lines(self, length: int) -> list[str]:
+        """The first ``length`` stored event lines, in order.
+
+        Fewer come back when rows are missing; :func:`recover` detects
+        that against the snapshot's recorded log head.
+        """
+        rows = self.query(
+            "SELECT line FROM events WHERE seq < ? ORDER BY seq", (length,)
+        )
+        return [line for (line,) in rows]
 
     def counts(self) -> dict:
         """Store health summary (journal/fix/snapshot rows)."""
@@ -366,10 +424,13 @@ def recover(
 ) -> tuple[SessionManager, RecoveryReport]:
     """Rebuild a manager from its store: snapshot + journal-tail replay.
 
-    The manager must be given the **same construction arguments** as
-    the pre-crash one (zones, config, rules, plan) — the journal
-    records inputs, and determinism does the rest.  Replay drives the
-    normal :meth:`~repro.sessions.manager.SessionManager.observe` /
+    The snapshot's event history is rebuilt from the ``events`` table
+    and must match the snapshot's recorded log head (length and chain),
+    or :class:`RecoveryError` is raised.  The manager must be given the
+    **same construction arguments** as the pre-crash one (zones,
+    config, rules, plan) — the journal records inputs, and determinism
+    does the rest.  Replay drives the normal
+    :meth:`~repro.sessions.manager.SessionManager.observe` /
     :meth:`~repro.sessions.manager.SessionManager.evict_idle` path with
     journaling suppressed; after each entry the event log's chain head
     must equal the journaled one or :class:`RecoveryError` is raised
@@ -391,7 +452,23 @@ def recover(
     snapshot_seq = 0
     if snapshot is not None:
         snapshot_seq, state = snapshot
-        manager.restore_state(state)
+        head = state["log"]
+        try:
+            manager.restore_state(state, store.event_lines(head["length"]))
+        except ValueError as exc:
+            raise RecoveryError(
+                f"snapshot@{snapshot_seq} event history is corrupt: {exc}"
+            ) from exc
+        if (len(manager.log), manager.log.chain()) != (
+            head["length"],
+            head["chain"],
+        ):
+            raise RecoveryError(
+                f"snapshot@{snapshot_seq} records {head['length']} events "
+                f"at chain {head['chain'][:16]}..., the events table "
+                f"rebuilds {len(manager.log)} at "
+                f"{manager.log.chain()[:16]}..."
+            )
     replayed = 0
     manager._replaying = True
     try:

@@ -25,7 +25,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 __all__ = [
     "CHAIN_SEED",
@@ -223,6 +223,7 @@ class EventLog:
         if rotate_bytes is not None and rotate_bytes < 1:
             raise ValueError("rotate_bytes must be positive")
         self._events: list[SessionEvent] = []
+        self._lines: list[str] = []
         self._chains: list[str] = []
         self.path = None if path is None else Path(path)
         self.fsync = fsync
@@ -256,14 +257,43 @@ class EventLog:
         line = json.dumps(
             stamped.to_dict(), sort_keys=True, separators=(",", ":")
         )
-        previous = self._chains[-1] if self._chains else CHAIN_SEED
-        self._events.append(stamped)
-        self._chains.append(
-            hashlib.sha256((previous + line).encode()).hexdigest()
-        )
+        self._keep(stamped, line)
         if self._sink is not None:
             self._write_line(line)
         return stamped
+
+    def _keep(self, event: SessionEvent, line: str) -> None:
+        """Record ``event`` with its canonical ``line`` and chain link."""
+        previous = self._chains[-1] if self._chains else CHAIN_SEED
+        self._events.append(event)
+        self._lines.append(line)
+        self._chains.append(
+            hashlib.sha256((previous + line).encode()).hexdigest()
+        )
+
+    @classmethod
+    def from_lines(cls, lines: Iterable[str]) -> "EventLog":
+        """Rebuild a memory-only log from its canonical lines.
+
+        The inverse of :meth:`lines`: each line is parsed into its event
+        and chained *as stored* (not re-serialized), so the rebuilt
+        :meth:`chain` equals the original log's exactly when every line
+        is byte-identical to the one the original hashed.  Lines that do
+        not parse as events, or whose ``seq`` breaks the gap-free order
+        from 0, raise ``ValueError``.
+        """
+        log = cls()
+        for index, line in enumerate(lines):
+            try:
+                event = SessionEvent.from_dict(json.loads(line))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(f"event line {index} is corrupt: {exc}")
+            if event.seq != index:
+                raise ValueError(
+                    f"event line {index} carries seq {event.seq}"
+                )
+            log._keep(event, line)
+        return log
 
     # ------------------------------------------------------------------
     # Durable sink
@@ -386,10 +416,19 @@ class EventLog:
         two logs are byte-identical exactly when every event field is
         bit-identical.
         """
-        return "\n".join(
-            json.dumps(e.to_dict(), sort_keys=True, separators=(",", ":"))
-            for e in self._events
-        )
+        return "\n".join(self._lines)
+
+    def lines(self, start: int = 0) -> list[str]:
+        """Canonical lines of the events from ``start`` on.
+
+        The lines are the ones :meth:`append` serialized and chained, so
+        a store can persist the log incrementally without re-encoding it.
+        """
+        if not 0 <= start <= len(self._lines):
+            raise ValueError(
+                f"line start {start} outside [0, {len(self._lines)}]"
+            )
+        return self._lines[start:]
 
     def digest(self) -> str:
         """SHA-256 hex digest of :meth:`to_jsonl` — the replay witness."""

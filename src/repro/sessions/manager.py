@@ -19,9 +19,10 @@ repeat runs and across thread/process serving workers.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -157,8 +158,9 @@ class SessionManager:
         self.sessions_evicted_total = 0
         self.updates_total = 0
         # Durability (optional): a SessionStore journals every applied
-        # input and takes a full snapshot every ``checkpoint_every``
-        # journal entries; ``_replaying`` suppresses journaling while
+        # input and, every ``checkpoint_every`` journal entries, takes a
+        # snapshot of the fleet and stores the events emitted since the
+        # previous one; ``_replaying`` suppresses journaling while
         # recovery drives this very apply path from the journal.
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be positive")
@@ -321,7 +323,27 @@ class SessionManager:
             kind, object_id, t_s, payload, self.log.chain()
         )
         if seq % self.checkpoint_every == 0:
-            self.store.save_snapshot(seq, self.state_dict())
+            stored = self.store.event_count()
+            if stored > len(self.log):
+                raise RuntimeError(
+                    f"the store holds {stored} events but this manager "
+                    f"emitted {len(self.log)}; resume a used store with "
+                    "recover() instead of a new manager"
+                )
+            # A checkpoint builds one short-lived dict tree per session,
+            # freed by refcount as soon as the blob is written; pausing
+            # the cyclic collector meanwhile spares it from scanning
+            # them (and, on a full collection, the whole fleet) while
+            # this observe() call stalls.
+            collecting = gc.isenabled()
+            gc.disable()
+            try:
+                self.store.save_snapshot(
+                    seq, self.state_dict(), self.log.lines(stored)
+                )
+            finally:
+                if collecting:
+                    gc.enable()
 
     def sync(self) -> None:
         """Force any group-commit-buffered journal rows to disk."""
@@ -332,16 +354,22 @@ class SessionManager:
         """JSON-safe snapshot of everything mutable about the fleet.
 
         Restoring this on a manager built with the same construction
-        arguments (zones, config, rules, plan) continues the input
-        stream bit-identically — filters carry their RNG state, FSMs
-        their pending counters, the log its full event history.
+        arguments (zones, config, rules, plan), together with the event
+        history it records the head of, continues the input stream
+        bit-identically — filters carry their RNG state, FSMs their
+        pending counters.  Sessions are an ordered list of
+        ``[object_id, state]`` pairs so first-seen order (which decides
+        eviction order) survives any serializer.  The event history
+        itself is not included, only its ``length`` and ``chain`` head:
+        it is the one part of the state that grows with time, and a
+        store keeps it incrementally instead.
         """
         return {
-            "sessions": {
-                oid: s.state_dict() for oid, s in self._sessions.items()
-            },
+            "sessions": [
+                [oid, s.state_dict()] for oid, s in self._sessions.items()
+            ],
             "analytics": self.analytics.state_dict(),
-            "events": [e.to_dict() for e in self.log],
+            "log": {"length": len(self.log), "chain": self.log.chain()},
             "tripped": sorted(self._tripped),
             "dwell_alerted": sorted(list(k) for k in self._dwell_alerted),
             "counters": {
@@ -351,16 +379,20 @@ class SessionManager:
             },
         }
 
-    def restore_state(self, state: Mapping) -> None:
+    def restore_state(self, state: Mapping, events: Iterable[str]) -> None:
         """Restore a :meth:`state_dict` snapshot in place.
 
-        Sessions are rebuilt through the normal constructor path (so
-        particle RNGs get their object-keyed seeding) and then
-        overwritten with the captured filter/FSM state; the event log is
-        re-appended event by event, which re-derives its digest chain.
+        ``events`` is the event history the snapshot covers, as the
+        canonical lines :meth:`EventLog.lines` returns.  Sessions are
+        rebuilt through the normal constructor path (so particle RNGs
+        get their object-keyed seeding) and then overwritten with the
+        captured filter/FSM state; the log is rebuilt from ``events``
+        with :meth:`EventLog.from_lines`, which re-derives its digest
+        chain.  Checking that chain against ``state["log"]`` is the
+        caller's job (:func:`repro.sessions.durable.recover` does it).
         """
         sessions: dict[str, TrackingSession] = {}
-        for object_id, recorded in state["sessions"].items():
+        for object_id, recorded in state["sessions"]:
             session = TrackingSession(
                 object_id,
                 self._build_filter(object_id),
@@ -374,10 +406,7 @@ class SessionManager:
             sessions[object_id] = session
         self._sessions = sessions
         self.analytics.restore_state(state["analytics"])
-        log = EventLog()
-        for record in state["events"]:
-            log.append(SessionEvent.from_dict(record))
-        self.log = log
+        self.log = EventLog.from_lines(events)
         self._tripped = set(state["tripped"])
         self._dwell_alerted = {
             (rule, oid) for rule, oid in state["dwell_alerted"]

@@ -142,8 +142,8 @@ class KalmanTracker:
         """
         return {
             "kind": "kalman",
-            "state": [float(v) for v in self.state],
-            "covariance": [[float(v) for v in row] for row in self.covariance],
+            "state": self.state.tolist(),
+            "covariance": self.covariance.tolist(),
             "initialized": self._initialized,
             "updates": self.updates,
         }

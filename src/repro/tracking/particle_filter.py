@@ -165,8 +165,8 @@ class ParticleFilterTracker:
         """
         return {
             "kind": "particle",
-            "states": [[float(v) for v in row] for row in self.states],
-            "weights": [float(w) for w in self.weights],
+            "states": self.states.tolist(),
+            "weights": self.weights.tolist(),
             "updates": self.updates,
             "rng": self.rng.bit_generator.state,
         }

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.environment import FloorPlan
 from repro.geometry import Point, Polygon
 from repro.sessions import (
@@ -350,55 +351,353 @@ class TestRecovery:
         reopened.close()
 
 
+def _apply(manager, steps):
+    """Feed ``("fix", object_id, t_s, Point, confidence)`` and
+    ``("evict", t_s)`` steps in order."""
+    for step in steps:
+        if step[0] == "evict":
+            manager.evict_idle(step[1])
+        else:
+            _, object_id, t_s, fix, confidence = step
+            manager.observe(object_id, t_s, fix, confidence=confidence)
+
+
+def _crash_and_resume(db, steps, cut, config=None, checkpoint_every=1,
+                      group_commit=1):
+    """Journal ``steps[:cut]``, close, recover, then feed the rest.
+
+    Returns ``(reopened store, recovered manager, report)``.
+    """
+    store = SessionStore(db, group_commit=group_commit)
+    manager = SessionManager(
+        _zones(), config, store=store, checkpoint_every=checkpoint_every
+    )
+    _apply(manager, steps[:cut])
+    manager.sync()
+    store.close()
+    reopened = SessionStore(db, group_commit=group_commit)
+    recovered, report = recover(
+        reopened, _zones(), config, checkpoint_every=checkpoint_every
+    )
+    _apply(recovered, steps[cut:])
+    return reopened, recovered, report
+
+
+class TestFirstSeenOrder:
+    """A recovered fleet keeps the live fleet's first-seen order."""
+
+    def test_recovered_fleet_evicts_in_first_seen_order(self, tmp_path):
+        steps = [
+            ("fix", "obj-b", 0.0, Point(2.0, 2.0), 1.0),
+            ("fix", "obj-a", 0.0, Point(10.0, 6.0), 1.0),
+            ("evict", 100.0),
+        ]
+        store, recovered, report = _crash_and_resume(
+            tmp_path / "order.db", steps, cut=2
+        )
+        baseline = SessionManager(_zones())
+        _apply(baseline, steps)
+
+        assert report.snapshot_seq == 2  # the snapshot held both sessions
+        evicted = [e.object_id for e in baseline.log if e.kind == "evicted"]
+        assert evicted == ["obj-b", "obj-a"]
+        assert recovered.log.digest() == baseline.log.digest()
+        store.close()
+
+    def test_recovered_zone_machines_flush_in_first_touched_order(
+        self, tmp_path
+    ):
+        """An object confirmed in several zones (long exit debounce)
+        exits them on eviction in first-touched order, recovered or not."""
+        config = SessionConfig(enter_debounce=1, exit_debounce=50)
+        steps = [
+            ("fix", "obj-x", float(t), Point(10.0, 6.0), 1.0)
+            for t in range(4)
+        ] + [
+            ("fix", "obj-x", float(t), Point(2.0, 2.0), 1.0)
+            for t in range(4, 12)
+        ]
+        steps.append(("evict", 100.0))
+        store, recovered, _ = _crash_and_resume(
+            tmp_path / "fsm.db", steps, cut=len(steps) - 1, config=config
+        )
+        baseline = SessionManager(_zones(), config)
+        _apply(baseline, steps)
+
+        exits = [e.zone for e in baseline.log if e.kind == "exit"]
+        assert exits[0] == "z1-2" and exits[-1] == "z0-0"
+        assert recovered.log.digest() == baseline.log.digest()
+        store.close()
+
+    def test_state_dict_orders_sessions_and_records_log_head(self):
+        manager = SessionManager(_zones())
+        _apply(
+            manager,
+            [
+                ("fix", "obj-c", 0.0, Point(2.0, 2.0), 1.0),
+                ("fix", "obj-a", 0.0, Point(6.0, 2.0), 1.0),
+                ("fix", "obj-b", 0.0, Point(10.0, 6.0), 1.0),
+            ],
+        )
+        state = manager.state_dict()
+        assert [oid for oid, _ in state["sessions"]] == [
+            "obj-c",
+            "obj-a",
+            "obj-b",
+        ]
+        assert "events" not in state
+        assert state["log"] == {
+            "length": len(manager.log),
+            "chain": manager.log.chain(),
+        }
+
+
+class TestEventsTable:
+    """The event history lives in the append-only ``events`` table."""
+
+    def _journal(self, db, fixes, checkpoint_every, keep_snapshots=4):
+        store = SessionStore(db, group_commit=4, keep_snapshots=keep_snapshots)
+        manager = SessionManager(
+            _zones(), store=store, checkpoint_every=checkpoint_every
+        )
+        _feed(manager, fixes)
+        manager.sync()
+        return store, manager
+
+    def test_snapshot_blob_has_no_events_and_stays_flat(self, tmp_path):
+        store, manager = self._journal(
+            tmp_path / "flat.db",
+            _fixes(ticks=60),
+            checkpoint_every=20,
+            keep_snapshots=100,
+        )
+        rows = store.query(
+            "SELECT state FROM snapshots ORDER BY journal_seq"
+        )
+        states = [json.loads(blob) for (blob,) in rows]
+        sizes = [len(blob) for (blob,) in rows]
+        lengths = [state["log"]["length"] for state in states]
+        assert len(rows) == 9
+        assert all("events" not in state for state in states)
+        assert all('"object_id"' not in blob for (blob,) in rows)
+        # The log grows several-fold; the blob stays the fleet's size.
+        assert lengths[-1] >= 4 * lengths[0] > 0
+        assert max(sizes) <= 1.1 * min(sizes)
+        assert store.event_count() == lengths[-1]
+        assert store.event_lines(lengths[-1]) == manager.log.lines()[
+            : lengths[-1]
+        ]
+        store.close()
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["drop-last", "drop-middle", "edit-time", "garbage"],
+    )
+    def test_missing_or_altered_row_raises(self, tmp_path, damage):
+        db = tmp_path / "dmg.db"
+        store, _ = self._journal(db, _fixes(), checkpoint_every=30)
+        length = store.event_count()
+        assert length >= 3
+        store.close()
+        with sqlite3.connect(db) as conn:
+            if damage == "drop-last":
+                conn.execute("DELETE FROM events WHERE seq = ?", (length - 1,))
+            elif damage == "drop-middle":
+                conn.execute("DELETE FROM events WHERE seq = 1")
+            else:
+                (line,) = conn.execute(
+                    "SELECT line FROM events WHERE seq = 1"
+                ).fetchone()
+                if damage == "edit-time":
+                    record = json.loads(line)
+                    record["t_s"] += 1.0
+                    line = json.dumps(
+                        record, sort_keys=True, separators=(",", ":")
+                    )
+                else:
+                    line = "not json"
+                conn.execute(
+                    "UPDATE events SET line = ? WHERE seq = 1", (line,)
+                )
+        reopened = SessionStore(db)
+        with pytest.raises(RecoveryError, match="snapshot@30"):
+            recover(reopened, _zones())
+        reopened.close()
+
+    def test_reopened_store_appends_at_next_seq(self, tmp_path):
+        db = tmp_path / "next.db"
+        fixes = _fixes()
+        store, _ = self._journal(db, fixes[:18], checkpoint_every=5)
+        first = store.event_count()
+        assert first > 0
+        store.close()
+
+        reopened = SessionStore(db, group_commit=4)
+        assert reopened.event_count() == first
+        recovered, _ = recover(reopened, _zones(), checkpoint_every=5)
+        _feed(recovered, fixes[18:])
+        recovered.sync()
+        total = reopened.event_count()
+        assert total > first
+        seqs = [seq for (seq,) in reopened.query("SELECT seq FROM events")]
+        assert seqs == list(range(total))
+        reopened.close()
+
+        baseline = SessionManager(_zones())
+        _feed(baseline, fixes)
+        again = SessionStore(db)
+        assert again.event_lines(total) == baseline.log.lines()[:total]
+        recovered_again, _ = recover(again, _zones())
+        assert recovered_again.log.digest() == baseline.log.digest()
+        again.close()
+
+    def test_schema_v1_file_is_rejected(self, tmp_path):
+        db = tmp_path / "v1.db"
+        with sqlite3.connect(db) as conn:
+            conn.execute(
+                "CREATE TABLE schema_version (version INTEGER NOT NULL)"
+            )
+            conn.execute("INSERT INTO schema_version(version) VALUES (1)")
+            conn.execute(
+                "CREATE TABLE snapshots (journal_seq INTEGER PRIMARY KEY,"
+                " created_s REAL NOT NULL, state TEXT NOT NULL)"
+            )
+        with pytest.raises(SessionStoreError, match="schema version 1"):
+            SessionStore(db)
+        # The rejected open left the file as it was.
+        with sqlite3.connect(db) as conn:
+            tables = {
+                name
+                for (name,) in conn.execute(
+                    "SELECT name FROM sqlite_master WHERE type = 'table'"
+                )
+            }
+        assert "events" not in tables
+
+    def test_new_manager_on_used_store_refuses_to_checkpoint(self, tmp_path):
+        db = tmp_path / "used.db"
+        store, _ = self._journal(db, _fixes()[:12], checkpoint_every=6)
+        assert store.event_count() > 0
+        fresh = SessionManager(_zones(), store=store, checkpoint_every=1)
+        with pytest.raises(RuntimeError, match="recover"):
+            _feed(fresh, _fixes()[:1])
+        store.close()
+
+
+class TestStoreSpans:
+    def test_flush_and_snapshot_spans(self, tmp_path):
+        fixes = _fixes()[:20]
+        with obs.capture() as tracer:
+            store = SessionStore(tmp_path / "obs.db", group_commit=4)
+            manager = SessionManager(
+                _zones(), store=store, checkpoint_every=10
+            )
+            _feed(manager, fixes)
+            manager.sync()
+        spans = tracer.finished()
+        flushes = [s for s in spans if s.name == "durable.flush"]
+        snapshots = [s for s in spans if s.name == "durable.snapshot"]
+        # One span per flush and per snapshot, none per journal append.
+        assert len(spans) == len(flushes) + len(snapshots)
+        assert sum(s.attributes["rows"] for s in flushes) == len(fixes)
+        assert len(snapshots) == 2
+        assert [s.attributes["sessions"] for s in snapshots] == [3, 3]
+        assert sum(s.attributes["new_events"] for s in snapshots) == (
+            store.event_count()
+        )
+        blobs = store.query("SELECT state FROM snapshots ORDER BY journal_seq")
+        assert [s.attributes["blob_bytes"] for s in snapshots] == [
+            len(blob) for (blob,) in blobs
+        ]
+        store.close()
+
+
 class TestRecoveryProperty:
-    """Hypothesis: for *any* fix stream, crash point, and checkpoint /
-    group-commit cadence, flushed-journal recovery plus the remaining
-    feed is byte-identical to a run that never crashed."""
+    """Hypothesis: for *any* fix stream with eviction sweeps, first-seen
+    order, crash point, and checkpoint / group-commit cadence,
+    flushed-journal recovery plus the remaining feed is byte-identical to
+    a run that never crashed."""
+
+    IDS = ("obj-a", "obj-b", "obj-c", "obj-d")
+    #: Skewed so the rarer objects go idle and get evicted.
+    WEIGHTS = (0.4, 0.3, 0.2, 0.1)
+    CONFIG = SessionConfig(idle_timeout_s=3.0)
+
+    def _stream(self, stream_seed, first_seen, n_steps):
+        rng = np.random.default_rng(np.random.SeedSequence([stream_seed]))
+        steps = []
+        for i in range(n_steps):
+            if i >= len(first_seen) and rng.uniform() < 0.2:
+                steps.append(("evict", float(i)))
+                continue
+            if i < len(first_seen):
+                object_id = first_seen[i]
+            else:
+                object_id = first_seen[
+                    int(rng.choice(len(first_seen), p=self.WEIGHTS))
+                ]
+            steps.append(
+                (
+                    "fix",
+                    object_id,
+                    float(i),
+                    Point(*rng.uniform((0.5, 0.5), (11.5, 7.5))),
+                    float(rng.uniform(0.2, 1.0)),
+                )
+            )
+        return steps
 
     @settings(max_examples=25, deadline=None)
     @given(
         stream_seed=st.integers(min_value=0, max_value=2**32 - 1),
-        n_fixes=st.integers(min_value=1, max_value=36),
-        crash_at=st.integers(min_value=0, max_value=36),
+        first_seen=st.permutations(IDS).filter(
+            lambda order: list(order) != sorted(order)
+        ),
+        n_steps=st.integers(min_value=1, max_value=40),
+        crash_at=st.integers(min_value=0, max_value=40),
         checkpoint_every=st.integers(min_value=1, max_value=12),
         group_commit=st.integers(min_value=1, max_value=8),
     )
     def test_snapshot_plus_replay_is_byte_identical(
-        self, stream_seed, n_fixes, crash_at, checkpoint_every, group_commit
+        self,
+        stream_seed,
+        first_seen,
+        n_steps,
+        crash_at,
+        checkpoint_every,
+        group_commit,
     ):
-        crash_at = min(crash_at, n_fixes)
-        rng = np.random.default_rng(np.random.SeedSequence([stream_seed]))
-        fixes = [
-            (
-                f"obj-{int(rng.integers(0, 3))}",
-                float(i),
-                Point(*rng.uniform((0.5, 0.5), (11.5, 7.5))),
-                float(rng.uniform(0.2, 1.0)),
-            )
-            for i in range(n_fixes)
-        ]
+        crash_at = min(crash_at, n_steps)
+        steps = self._stream(stream_seed, first_seen, n_steps)
         with tempfile.TemporaryDirectory() as td:
             db = Path(td) / "prop.db"
             store = SessionStore(db, group_commit=group_commit)
             manager = SessionManager(
-                _zones(), store=store, checkpoint_every=checkpoint_every
+                _zones(),
+                self.CONFIG,
+                store=store,
+                checkpoint_every=checkpoint_every,
             )
-            _feed(manager, fixes[:crash_at])
+            _apply(manager, steps[:crash_at])
             manager.sync()
+            journaled = store.last_seq()
             store.close()
 
             reopened = SessionStore(db, group_commit=group_commit)
             recovered, report = recover(
-                reopened, _zones(), checkpoint_every=checkpoint_every
+                reopened,
+                _zones(),
+                self.CONFIG,
+                checkpoint_every=checkpoint_every,
             )
-            _feed(recovered, fixes[crash_at:])
+            _apply(recovered, steps[crash_at:])
 
-            baseline = SessionManager(_zones())
-            _feed(baseline, fixes)
+            baseline = SessionManager(_zones(), self.CONFIG)
+            _apply(baseline, steps)
 
             assert recovered.log.digest() == baseline.log.digest()
             assert json.dumps(
                 recovered.state_dict(), sort_keys=True
             ) == json.dumps(baseline.state_dict(), sort_keys=True)
-            assert report.snapshot_seq + report.replayed == crash_at
+            assert report.snapshot_seq + report.replayed == journaled
             reopened.close()

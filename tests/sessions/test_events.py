@@ -141,6 +141,44 @@ class TestDigestChain:
             assert SessionEvent.from_dict(stamped.to_dict()) == stamped
 
 
+class TestEventLines:
+    def test_lines_are_the_canonical_jsonl(self):
+        log = EventLog()
+        for event in _sample_events(5):
+            log.append(event)
+        assert "\n".join(log.lines()) == log.to_jsonl()
+        assert log.lines(3) == log.lines()[3:]
+        assert log.lines(5) == []
+        with pytest.raises(ValueError):
+            log.lines(6)
+        with pytest.raises(ValueError):
+            log.lines(-1)
+
+    def test_from_lines_rebuilds_events_digest_and_chain(self):
+        log = EventLog()
+        for event in _sample_events(6):
+            log.append(event)
+        rebuilt = EventLog.from_lines(log.lines())
+        assert rebuilt.events() == log.events()
+        assert rebuilt.digest() == log.digest()
+        assert [rebuilt.chain_at(i) for i in range(7)] == [
+            log.chain_at(i) for i in range(7)
+        ]
+        assert EventLog.from_lines([]).chain() == CHAIN_SEED
+
+    def test_from_lines_rejects_corrupt_and_out_of_order_lines(self):
+        log = EventLog()
+        for event in _sample_events(3):
+            log.append(event)
+        lines = log.lines()
+        with pytest.raises(ValueError, match="line 1 is corrupt"):
+            EventLog.from_lines([lines[0], "{", lines[2]])
+        with pytest.raises(ValueError, match="line 1 is corrupt"):
+            EventLog.from_lines([lines[0], "[]"])
+        with pytest.raises(ValueError, match="carries seq 2"):
+            EventLog.from_lines([lines[0], lines[2]])
+
+
 class TestEventLogSink:
     def test_sink_writes_canonical_jsonl(self, tmp_path):
         path = tmp_path / "events.jsonl"
