@@ -1,8 +1,10 @@
 """PIPELINE — the batched locate pipeline: stage split + speedup floor.
 
-PR 8 vectorized the non-LP half of the query pipeline (batched constraint
-assembly, stacked relaxation/centre LPs with a crash-basis Phase-I start,
-winner-only lazy geometry).  This bench pins the win three ways:
+The batched pipeline stacks the relaxation and centre LPs (with a
+crash-basis Phase-I start) and runs geometry winner-only; constraint
+assembly runs the scalar builder per query and stacks its matrices once,
+and regions clip per lane through the scalar clipper.  This bench pins
+the win three ways:
 
 * **speedup floor** — the serving layer's ``cached-batched`` mode
   (``max_workers=0, lp_batch=QUERIES``: exactly the batched pipeline, no

@@ -22,13 +22,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from ..geometry import (
-    EPS,
     HalfSpace,
     Point,
     Polygon,
@@ -45,7 +43,6 @@ __all__ = [
     "Anchor",
     "BOUNDARY_WEIGHT",
     "pairwise_constraints",
-    "pairwise_constraints_batch",
     "boundary_constraints",
 ]
 
@@ -143,11 +140,12 @@ class ConstraintSystem:
     ) -> "ConstraintSystem":
         """A system with its :meth:`matrices` cache preseeded.
 
-        The batched assembly path already holds the stacked ``(A, b, w)``
-        arrays, so rebuilding them from the row objects would be pure
-        waste.  The caller guarantees the arrays match the rows exactly
-        (same values, same order) — the preseed is then bit-identical to
-        what :meth:`matrices` would build.
+        The batched locate path stacks each query's shared rows once and
+        concatenates that stack with every piece's cached boundary stack,
+        so rebuilding ``(A, b, w)`` from the row objects per piece would
+        be pure waste.  The caller guarantees the arrays match the rows
+        exactly (same values, same order) — the preseed is then
+        bit-identical to what :meth:`matrices` would build.
         """
         system = cls(constraints)
         object.__setattr__(system, "_matrices", (a, b, w))
@@ -271,207 +269,6 @@ def pairwise_constraints(
                     )
                 )
         sp.incr("rows", len(out))
-        return out
-
-
-@lru_cache(maxsize=128)
-def _pair_template(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Upper-triangle ``(i, j)`` index pairs in the scalar loop's order."""
-    ii, jj = np.triu_indices(n, k=1)
-    return ii, jj
-
-
-def pairwise_constraints_batch(
-    queries: Sequence[Sequence[Anchor]],
-    include_nomadic_pairs: bool = False,
-    normalize: bool = True,
-    confidence_fn=confidence_factor,
-    bisector_cache=None,
-    quality_weights: Sequence[Mapping[str, float] | None] | None = None,
-) -> list[
-    tuple[tuple[WeightedConstraint, ...], tuple[np.ndarray, np.ndarray, np.ndarray]]
-]:
-    """Bisector constraints for many queries' anchor pairs in array passes.
-
-    Stacks every anchor pair of every query and computes the skip masks
-    (both-nomadic, coincident positions), the PDP power ratios, and the
-    near/far orientation in vectorized passes; the transcendental
-    confidence function and the bisector construction stay scalar per row
-    / per distinct pair, because NumPy's SIMD ``pow`` is not bit-identical
-    to Python's ``**`` and the bisector normalization must reproduce
-    :func:`~repro.geometry.bisector_halfspace` exactly.
-
-    Returns, per query, ``(rows, (a, b, w))``: the same
-    :class:`WeightedConstraint` tuple the scalar
-    :func:`pairwise_constraints` builds (same halfspaces, weights, kinds,
-    labels, order) plus the stacked LP matrices over those rows, ready to
-    preseed :meth:`ConstraintSystem.matrices`.
-
-    ``bisector_cache`` keeps its semantics (same keys, same cached
-    values); the only observable difference is the *lookup count* — each
-    distinct anchor-position pair is consulted once per batch instead of
-    once per row, so cache hit/miss statistics differ while every stored
-    and returned halfspace stays bit-identical.
-    """
-    nq = len(queries)
-    qw_list: Sequence[Mapping[str, float] | None]
-    qw_list = quality_weights if quality_weights is not None else [None] * nq
-    if len(qw_list) != nq:
-        raise ValueError("quality_weights length must match queries")
-    with span("constraints.pairwise_batch", queries=nq) as sp:
-        # ---- stack every pair of every query -------------------------
-        xi_parts: list[np.ndarray] = []
-        yi_parts: list[np.ndarray] = []
-        xj_parts: list[np.ndarray] = []
-        yj_parts: list[np.ndarray] = []
-        pi_parts: list[np.ndarray] = []
-        pj_parts: list[np.ndarray] = []
-        nomi_parts: list[np.ndarray] = []
-        nomj_parts: list[np.ndarray] = []
-        pair_meta: list[tuple[int, int, int]] = []  # (query, i, j) per pair
-        for q, anchors in enumerate(queries):
-            n = len(anchors)
-            if n < 2:
-                continue  # caller-level validation owns the error message
-            px = np.array([a.position.x for a in anchors], dtype=float)
-            py = np.array([a.position.y for a in anchors], dtype=float)
-            pdp = np.array([a.pdp for a in anchors], dtype=float)
-            nom = np.array([a.nomadic for a in anchors], dtype=bool)
-            ii, jj = _pair_template(n)
-            xi_parts.append(px[ii])
-            yi_parts.append(py[ii])
-            xj_parts.append(px[jj])
-            yj_parts.append(py[jj])
-            pi_parts.append(pdp[ii])
-            pj_parts.append(pdp[jj])
-            nomi_parts.append(nom[ii])
-            nomj_parts.append(nom[jj])
-            pair_meta.extend(
-                (q, int(i), int(j)) for i, j in zip(ii.tolist(), jj.tolist())
-            )
-        if not pair_meta:
-            return [((), (np.zeros((0, 2)), np.zeros(0), np.zeros(0)))] * nq
-        xi = np.concatenate(xi_parts)
-        yi = np.concatenate(yi_parts)
-        xj = np.concatenate(xj_parts)
-        yj = np.concatenate(yj_parts)
-        p_i = np.concatenate(pi_parts)
-        p_j = np.concatenate(pj_parts)
-        nom_i = np.concatenate(nomi_parts)
-        nom_j = np.concatenate(nomj_parts)
-
-        # ---- skip masks (same predicates as the scalar loop) ---------
-        keep = ~(
-            (np.abs(xi - xj) <= EPS) & (np.abs(yi - yj) <= EPS)
-        )  # Point.almost_equals
-        if not include_nomadic_pairs:
-            keep &= ~(nom_i & nom_j)
-        kept = np.flatnonzero(keep)
-        if kept.size == 0:
-            return [((), (np.zeros((0, 2)), np.zeros(0), np.zeros(0)))] * nq
-        xi, yi, xj, yj = xi[kept], yi[kept], xj[kept], yj[kept]
-        p_i, p_j = p_i[kept], p_j[kept]
-        nomadic_row = (nom_i | nom_j)[kept]
-        meta = [pair_meta[k] for k in kept.tolist()]
-
-        # ---- proximity confidence ------------------------------------
-        # min/max reproduce the scalar ``sorted((p_i, p_j))`` exactly;
-        # the confidence function runs per row on Python floats because
-        # its ``2.0 ** (-x)`` is not bit-identical to np.power.
-        ratio = np.minimum(p_i, p_j) / np.maximum(p_i, p_j)
-        confidence = [confidence_fn(r) for r in ratio.tolist()]
-        near_is_i = p_i >= p_j
-
-        # ---- distinct (near, far) pairs -> halfspaces ----------------
-        nx = np.where(near_is_i, xi, xj)
-        ny = np.where(near_is_i, yi, yj)
-        fx = np.where(near_is_i, xj, xi)
-        fy = np.where(near_is_i, yj, yi)
-        pair_rows = np.column_stack((nx, ny, fx, fy))
-        distinct, inverse = np.unique(pair_rows, axis=0, return_inverse=True)
-        inverse = inverse.ravel()
-        halfspaces: list[HalfSpace] = []
-        for dnx, dny, dfx, dfy in distinct.tolist():
-            hs = None
-            if bisector_cache is not None:
-                cache_key = (dnx, dny, dfx, dfy, normalize)
-                hs = bisector_cache.get(cache_key)
-            if hs is None:
-                hs = bisector_halfspace(Point(dnx, dny), Point(dfx, dfy))
-                if normalize:
-                    hs = hs.normalized()
-                if bisector_cache is not None:
-                    bisector_cache[cache_key] = hs
-            halfspaces.append(hs)
-        hs_ax = np.array([h.ax for h in halfspaces])
-        hs_ay = np.array([h.ay for h in halfspaces])
-        hs_b = np.array([h.b for h in halfspaces])
-        row_ax = hs_ax[inverse]
-        row_ay = hs_ay[inverse]
-        row_b = hs_b[inverse]
-
-        # ---- weights (quality gating stays scalar for error parity) --
-        weights: list[float] = confidence
-        needs_quality = any(qw is not None for qw in qw_list)
-        if needs_quality:
-            weights = []
-            for conf, (q, i, j) in zip(confidence, meta):
-                qw = qw_list[q]
-                if qw is None:
-                    weights.append(conf)
-                    continue
-                anchors = queries[q]
-                name_i = anchors[i].name
-                name_j = anchors[j].name
-                quality = min(qw.get(name_i, 1.0), qw.get(name_j, 1.0))
-                if not 0.0 < quality <= 1.0:
-                    raise ValueError(
-                        f"quality weight for pair {name_i}/{name_j} "
-                        f"must be in (0, 1], got {quality}"
-                    )
-                weights.append(conf * quality)
-
-        # ---- materialize rows + per-query matrices -------------------
-        nomadic_list = nomadic_row.tolist()
-        rows: list[WeightedConstraint] = []
-        for r, (q, i, j) in enumerate(meta):
-            anchors = queries[q]
-            if near_is_i[r]:
-                near_name, far_name = anchors[i].name, anchors[j].name
-            else:
-                near_name, far_name = anchors[j].name, anchors[i].name
-            rows.append(
-                WeightedConstraint(
-                    halfspaces[inverse[r]],
-                    weights[r],
-                    ConstraintKind.NOMADIC
-                    if nomadic_list[r]
-                    else ConstraintKind.PAIRWISE,
-                    label=f"{near_name}<{far_name}",
-                )
-            )
-        w_arr = np.array(weights)
-        out: list[
-            tuple[
-                tuple[WeightedConstraint, ...],
-                tuple[np.ndarray, np.ndarray, np.ndarray],
-            ]
-        ] = []
-        start = 0
-        row_q = [q for q, _, _ in meta]
-        for q in range(nq):
-            end = start
-            while end < len(meta) and row_q[end] == q:
-                end += 1
-            a_q = np.column_stack((row_ax[start:end], row_ay[start:end]))
-            out.append(
-                (
-                    tuple(rows[start:end]),
-                    (a_q, row_b[start:end].copy(), w_arr[start:end].copy()),
-                )
-            )
-            start = end
-        sp.incr("rows", len(rows))
         return out
 
 

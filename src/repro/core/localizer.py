@@ -26,8 +26,8 @@ from ..geometry import (
     Polygon,
     decompose_convex,
     distance_point_to_segment,
-    intersect_halfspaces_batch,
 )
+from ..geometry.halfspace import _intersect_rows
 from ..obs import span
 from .center import CenterMethod, region_centers_batch
 from .constraints import (
@@ -37,7 +37,6 @@ from .constraints import (
     WeightedConstraint,
     boundary_constraints,
     pairwise_constraints,
-    pairwise_constraints_batch,
 )
 from .relaxation import _SLACK_TOL, RelaxationResult, solve_relaxation_batch
 
@@ -298,22 +297,32 @@ class NomLocLocalizer:
         hook — ``None`` keeps weights bit-identical to the ungated
         path).
         """
+        with span("constraints.build_shared", anchors=len(anchors)) as sp:
+            shared = self._shared_rows(anchors, bisector_cache, quality_weights)
+            sp.incr("rows", len(shared))
+            return shared
+
+    def _shared_rows(
+        self,
+        anchors: Sequence[Anchor],
+        bisector_cache,
+        quality_weights: Mapping[str, float] | None,
+    ) -> tuple[WeightedConstraint, ...]:
+        """The one per-query assembly body behind both public builders."""
         if len(anchors) < 2:
             raise ValueError("need at least two anchors to partition space")
-        with span("constraints.build_shared", anchors=len(anchors)) as sp:
-            shared = pairwise_constraints(
-                anchors,
-                include_nomadic_pairs=self.config.include_nomadic_pairs,
-                confidence_fn=self.config.resolve_confidence_fn(),
-                bisector_cache=bisector_cache,
-                quality_weights=quality_weights,
+        shared = pairwise_constraints(
+            anchors,
+            include_nomadic_pairs=self.config.include_nomadic_pairs,
+            confidence_fn=self.config.resolve_confidence_fn(),
+            bisector_cache=bisector_cache,
+            quality_weights=quality_weights,
+        )
+        if not shared:
+            raise ValueError(
+                "no usable anchor pairs (all anchors coincident or filtered)"
             )
-            if not shared:
-                raise ValueError(
-                    "no usable anchor pairs (all anchors coincident or filtered)"
-                )
-            sp.incr("rows", len(shared))
-            return tuple(shared)
+        return tuple(shared)
 
     def piece_boundary_rows(self, index: int) -> tuple[WeightedConstraint, ...]:
         """The cached boundary rows of one convex piece."""
@@ -400,35 +409,26 @@ class NomLocLocalizer:
             tuple[np.ndarray, np.ndarray, np.ndarray],
         ]
     ]:
-        """Shared pairwise rows for many queries via the stacked assembly.
+        """Shared pairwise rows for many queries, with their stacked matrices.
 
-        Per query, the returned rows are bit-identical to
-        :meth:`build_shared_constraints`; the accompanying ``(A, b, w)``
-        arrays preseed the piece systems' matrices caches.  Queries are
-        validated in order, so the first offending query raises the same
-        error the scalar per-query loop would have raised first.
+        Per query, the returned rows are exactly what
+        :meth:`build_shared_constraints` returns (the same per-query body
+        runs), and the accompanying ``(A, b, w)`` arrays are their
+        :meth:`ConstraintSystem.matrices`, built once per query to preseed
+        every piece system's matrices cache.  Queries are validated in
+        order, so the first offending query raises the error the scalar
+        per-query loop would have raised first.
         """
+        if quality_weights is None:
+            quality_weights = [None] * len(queries)
+        if len(quality_weights) != len(queries):
+            raise ValueError("quality_weights length must match queries")
         with span("constraints.build_batch", queries=len(queries)) as sp:
-            assembled = pairwise_constraints_batch(
-                queries,
-                include_nomadic_pairs=self.config.include_nomadic_pairs,
-                confidence_fn=self.config.resolve_confidence_fn(),
-                bisector_cache=bisector_cache,
-                quality_weights=quality_weights,
-            )
-            total = 0
-            for anchors, (rows, _mats) in zip(queries, assembled):
-                if len(anchors) < 2:
-                    raise ValueError(
-                        "need at least two anchors to partition space"
-                    )
-                if not rows:
-                    raise ValueError(
-                        "no usable anchor pairs "
-                        "(all anchors coincident or filtered)"
-                    )
-                total += len(rows)
-            sp.incr("rows", total)
+            assembled = []
+            for anchors, weights in zip(queries, quality_weights):
+                rows = self._shared_rows(anchors, bisector_cache, weights)
+                assembled.append((rows, ConstraintSystem(rows).matrices()))
+            sp.incr("rows", sum(len(rows) for rows, _mats in assembled))
             return assembled
 
     def locate_batch(
@@ -437,16 +437,15 @@ class NomLocLocalizer:
         quality_weights: Sequence[Mapping[str, float] | None] | None = None,
         bisector_cache=None,
     ) -> list[LocationEstimate]:
-        """Estimate positions for many queries in stacked NumPy passes.
+        """Estimate positions for many queries with stacked relaxation LPs.
 
-        The whole non-LP pipeline is batched alongside the stacked
-        relaxation LPs: constraint assembly runs through
-        :meth:`build_shared_constraints_batch` (one array pass over every
-        anchor pair of every query), every ``(query, piece)`` LP solves
-        through :func:`solve_relaxation_batch`, and region geometry runs
-        winner-only — pieces within ``cost_merge_tolerance`` of their
-        query's best cost clip/centre through
-        :func:`~repro.geometry.intersect_halfspaces_batch` and
+        Constraint assembly runs the scalar per-query builder through
+        :meth:`build_shared_constraints_batch`, which also stacks each
+        query's ``(A, b, w)`` once; every ``(query, piece)`` LP then
+        solves through one :func:`solve_relaxation_batch` call, and region
+        geometry runs winner-only — pieces within ``cost_merge_tolerance``
+        of their query's best cost are clipped one by one
+        (:meth:`_regions_batch`) and centred through
         :func:`~repro.core.center.region_centers_batch`, while losing
         pieces get lazy solutions whose region/centre materialize only if
         a diagnostic reads them.  Estimates are **bit-identical** to
@@ -454,15 +453,10 @@ class NomLocLocalizer:
         """
         if not queries:
             return []
-        weights: Sequence[Mapping[str, float] | None]
-        if quality_weights is None:
-            weights = [None] * len(queries)
-        else:
-            weights = quality_weights
-        if len(weights) != len(queries):
-            raise ValueError("quality_weights length must match queries")
         shareds = self.build_shared_constraints_batch(
-            queries, quality_weights=weights, bisector_cache=bisector_cache
+            queries,
+            quality_weights=quality_weights,
+            bisector_cache=bisector_cache,
         )
         npieces = len(self.pieces)
         solution_groups = self._solve_piece_groups(
@@ -612,8 +606,8 @@ class NomLocLocalizer:
 
         ``groups`` holds one ``(piece_index, relaxation)`` list per query.
         Pieces within ``cost_merge_tolerance`` of their query's best cost
-        get eager regions/centres through one cross-query batched clip +
-        centring pass; the rest become :class:`_LazyPieceSolution`.  The
+        get eager regions/centres (clipped per lane, centred in one
+        cross-query pass); the rest become :class:`_LazyPieceSolution`.  The
         winner predicate is exactly the one
         :meth:`estimate_from_solutions` applies, so every region/centre
         that method reads is eager and bit-identical to the scalar path.
@@ -657,59 +651,45 @@ class NomLocLocalizer:
     def _regions_batch(
         self, relaxations: Sequence[RelaxationResult]
     ) -> list[Polygon | None]:
-        """Each relaxation's feasible region, clipped in batched rounds.
+        """Each relaxation's feasible region, clipped lane by lane.
 
         The region is centred over the rows the relaxation kept: the
         minimally relaxed full stack is typically degenerate (directly
         conflicting rows relaxed just enough to touch leave a region of
         zero width), while the satisfied sub-system (``t_i = 0``) usually
         has proper interior.  A lane whose candidate clips empty moves to
-        the next rung of the ladder — satisfied rows, satisfied rows
-        inflated by ε, every row loosened by its slack (``b + t``), then
-        that inflated by ε — so opposing ties that pin a line still yield
-        a thin but centreable region.  A lane empty on every rung gets
-        ``None`` and is centred on its LP feasible point.  Every round
-        clips all still-unresolved lanes through one
-        :func:`~repro.geometry.intersect_halfspaces_batch` call, against
-        the area's padded bounding box.
+        the next rung of :func:`_region_ladder` — satisfied rows,
+        satisfied rows inflated by ε, every row loosened by its slack
+        (``b + t``), then that inflated by ε — so opposing ties that pin a
+        line still yield a thin but centreable region.  A lane empty on
+        every rung gets ``None`` and is centred on its LP feasible point.
+        Each rung is clipped against the area's padded bounding box by
+        :func:`~repro.geometry.halfspace._intersect_rows`; a stacked
+        clipper over many lanes measured no faster on the lanes this
+        path produces (~23 rows, a few to ~70 lanes).
         """
-        epsilon = 0.05  # metres (rows are unit-normalized)
-        n = len(relaxations)
-        regions: list[Polygon | None] = [None] * n
-        pending = list(range(n))
-        sat_systems: list[tuple[np.ndarray, np.ndarray] | None] = [None] * n
-
-        def lane_rows(li: int, round_idx: int) -> tuple[np.ndarray, np.ndarray]:
-            relaxation = relaxations[li]
-            if round_idx < 2:
-                cached = sat_systems[li]
-                if cached is None:
-                    a, b, _w = relaxation.system.matrices()
-                    mask = relaxation.slacks <= _SLACK_TOL
-                    cached = (a[mask], b[mask])
-                    sat_systems[li] = cached
-                a_r, b_r = cached
-            else:
-                a_r, b_r, _w = relaxation.system.matrices()
-                b_r = b_r + relaxation.slacks
-            if round_idx % 2 == 1:
-                b_r = b_r + epsilon
-            return a_r, b_r
-
-        for round_idx in range(4):
-            if not pending:
-                break
-            clipped = intersect_halfspaces_batch(
-                [lane_rows(li, round_idx) for li in pending], self._bound
-            )
-            still = []
-            for li, region in zip(pending, clipped):
+        regions: list[Polygon | None] = []
+        for relaxation in relaxations:
+            region = None
+            for a, b in _region_ladder(relaxation):
+                region = _intersect_rows(a, b, self._bound)
                 if region is not None:
-                    regions[li] = region
-                else:
-                    still.append(li)
-            pending = still
+                    break
+            regions.append(region)
         return regions
+
+
+def _region_ladder(relaxation: RelaxationResult):
+    """Candidate ``(A, b)`` stacks of one relaxation's region, in order."""
+    epsilon = 0.05  # metres (rows are unit-normalized)
+    a, b, _w = relaxation.system.matrices()
+    satisfied = relaxation.slacks <= _SLACK_TOL
+    a_sat, b_sat = a[satisfied], b[satisfied]
+    yield a_sat, b_sat
+    yield a_sat, b_sat + epsilon
+    relaxed = b + relaxation.slacks
+    yield a, relaxed
+    yield a, relaxed + epsilon
 
 
 def _merge_centers(winners: Sequence[PieceSolution]) -> Point:

@@ -189,6 +189,9 @@ def _solve_relaxation_sparse(
             f"sparse relaxation LP failed: status {result.status} "
             f"({result.message})"
         )
+    # HiGHS's own slacks may break a row by up to its feasibility
+    # tolerance; the least slacks for its ``z`` make the answer feasible
+    # by construction, and the cost is reported over those slacks.
     z = result.x[:2]
-    t = np.maximum(result.x[2:], 0.0)
-    return RelaxationResult(z, t, float(result.fun), system)
+    t = np.maximum(a @ z - b, 0.0)
+    return RelaxationResult(z, t, float(w @ t), system)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..core import Anchor
-from ..serving.metrics import percentile
+from ..obs import percentile
 from .client import AsyncGatewayClient, GatewayError
 from .http import HttpError
 

@@ -13,7 +13,6 @@ from .halfspace import (
     clip_polygon,
     halfspaces_to_matrix,
     intersect_halfspaces,
-    intersect_halfspaces_batch,
 )
 from .mirror import boundary_halfspaces, reflect_point, virtual_aps
 from .polygon import Polygon
@@ -47,7 +46,6 @@ __all__ = [
     "bisector_halfspace",
     "clip_polygon",
     "intersect_halfspaces",
-    "intersect_halfspaces_batch",
     "halfspaces_to_matrix",
     "reflect_point",
     "virtual_aps",

@@ -25,7 +25,6 @@ __all__ = [
     "HalfSpace",
     "clip_polygon",
     "intersect_halfspaces",
-    "intersect_halfspaces_batch",
     "bisector_halfspace",
     "halfspaces_to_matrix",
 ]
@@ -208,19 +207,15 @@ def _clip_coords(
     return cleaned
 
 
-#: Below this many cutting lanes a clip step runs the scalar kernel per
-#: lane; above it the stacked emission machinery wins.
-_SCALAR_LANES = 12
-
-
 def _intersect_rows(
     a: np.ndarray, b: np.ndarray, bound: Polygon
 ) -> Polygon | None:
-    """Scalar reference: clip one ``(a, b)`` stack row by row.
+    """Clip ``bound`` by one ``(a, b)`` stack, row by row.
 
     Equivalent to :func:`intersect_halfspaces` over
     ``[HalfSpace(a[j, 0], a[j, 1], b[j]) for j]`` — it drives the same
-    :func:`_clip_coords` kernel — without constructing the objects.
+    :func:`_clip_coords` kernel — without constructing the objects.  The
+    localizer clips every region through it, one lane at a time.
     """
     verts: list[tuple[float, float]] | None
     verts = [(p.x, p.y) for p in bound.vertices]
@@ -231,276 +226,6 @@ def _intersect_rows(
         if verts is None:
             return None
     return Polygon(tuple(Point(float(px), float(py)) for px, py in verts))
-
-
-def intersect_halfspaces_batch(
-    systems: Sequence[tuple[np.ndarray, np.ndarray]], bound: Polygon
-) -> list[Polygon | None]:
-    """Clip many halfspace stacks against one convex ``bound`` in lockstep.
-
-    ``systems`` holds one lane per entry: ``(a, b)`` with ``a`` of shape
-    ``(m, 2)`` and ``b`` of shape ``(m,)``, rows meaning ``a . z <= b``.
-    Lanes may have different row counts; shorter lanes idle while longer
-    ones keep clipping.  Returns one ``Polygon | None`` per lane,
-    **bit-identical** to running :func:`intersect_halfspaces` on that
-    lane alone: every arithmetic expression replicates
-    :func:`_clip_coords` with the same operations in the same order,
-    evaluated elementwise across lanes, and the order-sensitive steps
-    (vertex emission, duplicate removal, the shoelace accumulation) are
-    driven index-by-index rather than through reordered reductions.
-    """
-    lanes = len(systems)
-    if lanes == 0:
-        return []
-    if lanes == 1:
-        a, b = systems[0]
-        return [_intersect_rows(np.asarray(a, float), np.asarray(b, float), bound)]
-
-    rows = np.array([len(b) for _, b in systems])
-    max_m = int(rows.max())
-    bverts = bound.vertices
-    nb = len(bverts)
-    # Halfplane-clipping a convex polygon adds at most one net vertex, so
-    # nb + max_m columns bound every lane's vertex count; one extra slot
-    # holds a cyclic duplicate of the first vertex so "next vertex of i"
-    # is always column i + 1 and no gather is ever needed.
-    cap = nb + max_m + 2
-    width = cap + 1
-
-    ha = np.zeros((lanes, max_m, 2))
-    hb = np.zeros((lanes, max_m))
-    for lane, (la, lb) in enumerate(systems):
-        m = len(lb)
-        if m:
-            ha[lane, :m] = la
-            hb[lane, :m] = lb
-    hax = ha[:, :, 0]
-    hay = ha[:, :, 1]
-
-    x = np.zeros((lanes, width))
-    y = np.zeros((lanes, width))
-    for i, p in enumerate(bverts):
-        x[:, i] = p.x
-        y[:, i] = p.y
-    x[:, nb] = bverts[0].x
-    y[:, nb] = bverts[0].y
-    cnt = np.full(lanes, nb)
-    alive = np.ones(lanes, dtype=bool)
-    lane_idx = np.arange(lanes)
-    col = np.arange(2 * width)
-
-    # Conservative per-lane bounding box of the current polygon.  A row
-    # whose halfplane contains the whole box contains the polygon, so the
-    # clip is a no-op and the lane skips the step entirely; the margin
-    # keeps the box test strictly conservative against the per-vertex
-    # >= -EPS test under floating-point rounding.
-    bxmin = np.full(lanes, min(p.x for p in bverts))
-    bxmax = np.full(lanes, max(p.x for p in bverts))
-    bymin = np.full(lanes, min(p.y for p in bverts))
-    bymax = np.full(lanes, max(p.y for p in bverts))
-    noop_floor = -EPS + 1e-12
-
-    emw = 2 * cap + 2
-    em = np.zeros((lanes, emw), dtype=bool)
-    ex = np.zeros((lanes, emw))
-    ey = np.zeros((lanes, emw))
-    ox = np.zeros((lanes, emw))
-    oy = np.zeros((lanes, emw))
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for j in range(max_m):
-            act = alive & (j < rows)
-            if not act.any():
-                break
-            ax = hax[:, j]
-            ay = hay[:, j]
-            bb = hb[:, j]
-            worst = bb - (
-                np.maximum(ax * bxmin, ax * bxmax)
-                + np.maximum(ay * bymin, ay * bymax)
-            )
-            flag = act & (worst < noop_floor)
-            nflag = int(flag.sum())
-            if nflag == 0:
-                continue
-            if nflag <= _SCALAR_LANES:
-                # Few lanes actually cut: the scalar kernel per lane is
-                # cheaper than the stacked emission machinery.
-                for lane in np.flatnonzero(flag):
-                    k = int(cnt[lane])
-                    verts = list(
-                        zip(x[lane, :k].tolist(), y[lane, :k].tolist())
-                    )
-                    out = _clip_coords(
-                        verts, float(ax[lane]), float(ay[lane]), float(bb[lane])
-                    )
-                    if out is None:
-                        alive[lane] = False
-                        continue
-                    k2 = len(out)
-                    vx = [p[0] for p in out]
-                    vy = [p[1] for p in out]
-                    x[lane, :k2] = vx
-                    y[lane, :k2] = vy
-                    x[lane, k2] = vx[0]
-                    y[lane, k2] = vy[0]
-                    cnt[lane] = k2
-                    bxmin[lane] = min(vx)
-                    bxmax[lane] = max(vx)
-                    bymin[lane] = min(vy)
-                    bymax[lane] = max(vy)
-                continue
-
-            v = int(cnt[flag].max())
-            w = v + 1
-            xs = x[:, :w]
-            ys = y[:, :w]
-            # Two groupings on purpose: the inside test is
-            # b - (ax*x + ay*y), the crossing numerator b - ax*x - ay*y —
-            # exactly the scalar kernel's expressions.
-            ins = (bb[:, None] - (ax[:, None] * xs + ay[:, None] * ys)) >= -EPS
-            num = bb[:, None] - ax[:, None] * xs - ay[:, None] * ys
-            valid = flag[:, None] & (col[None, :v] < cnt[:, None])
-            insc = ins[:, :v]
-            insk = ins[:, 1:w]
-            dx = xs[:, 1:w] - xs[:, :v]
-            dy = ys[:, 1:w] - ys[:, :v]
-            den = ax[:, None] * dx + ay[:, None] * dy
-            cross = valid & (insc != insk) & (np.abs(den) > EPS)
-            t = num[:, :v] / den
-            t = np.where(cross, t, 0.0)  # keep masked lanes finite
-            np.minimum(t, 1.0, out=t)
-            np.maximum(t, 0.0, out=t)
-
-            # Emission, interleaved exactly like the scalar walk: for
-            # each vertex, current-if-inside then crossing-if-crossing.
-            b2 = 2 * v
-            emj = em[:, :b2]
-            emj[:, 0::2] = valid & insc
-            emj[:, 1::2] = cross
-            exj = ex[:, :b2]
-            eyj = ey[:, :b2]
-            exj[:, 0::2] = xs[:, :v]
-            exj[:, 1::2] = xs[:, :v] + dx * t
-            eyj[:, 0::2] = ys[:, :v]
-            eyj[:, 1::2] = ys[:, :v] + dy * t
-            pos = emj.cumsum(axis=1)
-            out_cnt = pos[:, -1].copy()
-            if int(out_cnt.max()) > cap:  # pragma: no cover - pathological
-                return [
-                    _intersect_rows(
-                        np.asarray(la, float), np.asarray(lb, float), bound
-                    )
-                    for la, lb in systems
-                ]
-            np.subtract(pos, 1, out=pos)
-            flat = (lane_idx[:, None] * emw + pos)[emj]
-            ox.ravel()[flat] = exj[emj]
-            oy.ravel()[flat] = eyj[emj]
-
-            # Consecutive near-duplicate removal.  If no emitted vertex
-            # sits within tolerance of its predecessor the scalar
-            # last-kept scan keeps everything (its first drop is always
-            # an adjacent one), so only lanes with an adjacent duplicate
-            # need the exact sequential walk.
-            mo = int(out_cnt.max())
-            adj = (
-                flag[:, None]
-                & (col[None, 1:mo] < out_cnt[:, None])
-                & (np.abs(ox[:, 1:mo] - ox[:, : mo - 1]) <= 1e-9)
-                & (np.abs(oy[:, 1:mo] - oy[:, : mo - 1]) <= 1e-9)
-            )
-            if adj.any():
-                for lane in np.flatnonzero(adj.any(axis=1)):
-                    cleaned: list[tuple[float, float]] = []
-                    for i in range(int(out_cnt[lane])):
-                        cx, cy = ox[lane, i], oy[lane, i]
-                        if (
-                            not cleaned
-                            or abs(cleaned[-1][0] - cx) > 1e-9
-                            or abs(cleaned[-1][1] - cy) > 1e-9
-                        ):
-                            cleaned.append((cx, cy))
-                    k = len(cleaned)
-                    ox[lane, :k] = [p[0] for p in cleaned]
-                    oy[lane, :k] = [p[1] for p in cleaned]
-                    out_cnt[lane] = k
-
-            # Cyclic wrap-around: drop the last vertex when it closes
-            # onto the first within tolerance.
-            last = out_cnt - 1
-            wrap = (
-                flag
-                & (out_cnt > 1)
-                & (np.abs(ox[:, 0] - ox[lane_idx, last]) <= 1e-9)
-                & (np.abs(oy[:, 0] - oy[lane_idx, last]) <= 1e-9)
-            )
-            out_cnt = out_cnt - wrap
-
-            dead = flag & (out_cnt < 3)
-            cand = flag & ~dead
-            if cand.any():
-                v2 = int(out_cnt[cand].max())
-                ox[lane_idx, out_cnt] = ox[:, 0]  # cyclic duplicate
-                oy[lane_idx, out_cnt] = oy[:, 0]
-                # Shoelace with sequential accumulation (index order
-                # matches the scalar loop; padded columns add a literal
-                # +0.0, which only ever flips the sign of an exact zero
-                # — a region both paths reject as degenerate anyway).
-                inp = cand[:, None] & (col[None, :v2] < out_cnt[:, None])
-                terms = np.where(
-                    inp,
-                    ox[:, :v2] * oy[:, 1 : v2 + 1]
-                    - ox[:, 1 : v2 + 1] * oy[:, :v2],
-                    0.0,
-                )
-                total = np.zeros(lanes)
-                for i in range(v2):
-                    total = total + terms[:, i]
-                signed = total / 2.0
-                dead |= cand & (np.abs(signed) <= EPS)
-                rev = cand & ~dead & (signed < 0.0)
-                if rev.any():
-                    for lane in np.flatnonzero(rev):
-                        k = int(out_cnt[lane])
-                        ox[lane, :k] = ox[lane, :k][::-1].copy()
-                        oy[lane, :k] = oy[lane, :k][::-1].copy()
-                        ox[lane, k] = ox[lane, 0]
-                        oy[lane, k] = oy[lane, 0]
-                keep = flag & ~dead
-                if keep.any():
-                    x[keep] = ox[keep, :width]
-                    y[keep] = oy[keep, :width]
-                    cnt[keep] = out_cnt[keep]
-                    kept = col[None, :v2] < out_cnt[:, None]
-                    bxmin[keep] = np.where(kept, ox[:, :v2], np.inf).min(
-                        axis=1
-                    )[keep]
-                    bxmax[keep] = np.where(kept, ox[:, :v2], -np.inf).max(
-                        axis=1
-                    )[keep]
-                    bymin[keep] = np.where(kept, oy[:, :v2], np.inf).min(
-                        axis=1
-                    )[keep]
-                    bymax[keep] = np.where(kept, oy[:, :v2], -np.inf).max(
-                        axis=1
-                    )[keep]
-            alive[dead] = False
-
-    results: list[Polygon | None] = []
-    for lane in range(lanes):
-        if not alive[lane]:
-            results.append(None)
-            continue
-        k = int(cnt[lane])
-        results.append(
-            Polygon(
-                tuple(
-                    Point(float(x[lane, i]), float(y[lane, i])) for i in range(k)
-                )
-            )
-        )
-    return results
 
 
 def halfspaces_to_matrix(

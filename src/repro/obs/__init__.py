@@ -29,6 +29,7 @@ from .exporters import (
     dump_jsonl,
     format_stage_table,
     load_jsonl,
+    percentile,
     write_jsonl,
 )
 from .instrument import (
@@ -62,6 +63,7 @@ __all__ = [
     "get_tracer",
     "is_enabled",
     "load_jsonl",
+    "percentile",
     "profile_scenario",
     "span",
     "write_jsonl",

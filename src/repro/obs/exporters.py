@@ -17,7 +17,7 @@ collects:
 from __future__ import annotations
 
 import json
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable
 
 from .trace import Span
 
@@ -27,6 +27,7 @@ __all__ = [
     "dump_jsonl",
     "format_stage_table",
     "load_jsonl",
+    "percentile",
     "write_jsonl",
 ]
 
@@ -58,17 +59,24 @@ def load_jsonl(path) -> list[Span]:
     return spans
 
 
-def _percentile(sorted_values: Sequence[float], q: float) -> float:
-    """Linear-interpolation percentile over pre-sorted values."""
-    if not sorted_values:
-        return 0.0
-    if len(sorted_values) == 1:
-        return float(sorted_values[0])
-    rank = (q / 100.0) * (len(sorted_values) - 1)
+def percentile(values, q: float) -> float:
+    """Linear-interpolation percentile of ``values`` (``q`` in [0, 100]).
+
+    Matches ``numpy.percentile``'s default method, implemented locally so
+    snapshots stay cheap and free of numpy allocations.
+    """
+    if not 0 <= q <= 100:
+        raise ValueError("percentile rank must be in [0, 100]")
+    data = sorted(values)
+    if not data:
+        raise ValueError("percentile of no values is undefined")
+    if len(data) == 1:
+        return float(data[0])
+    rank = (q / 100.0) * (len(data) - 1)
     lo = int(rank)
-    hi = min(lo + 1, len(sorted_values) - 1)
+    hi = min(lo + 1, len(data) - 1)
     frac = rank - lo
-    return float(sorted_values[lo] * (1.0 - frac) + sorted_values[hi] * frac)
+    return float(data[lo] * (1.0 - frac) + data[hi] * frac)
 
 
 class SpanAggregator:
@@ -114,8 +122,8 @@ class SpanAggregator:
                 "count": len(data),
                 "total_s": total,
                 "mean_s": total / len(data),
-                "p50_s": _percentile(data, 50.0),
-                "p95_s": _percentile(data, 95.0),
+                "p50_s": percentile(data, 50.0),
+                "p95_s": percentile(data, 95.0),
             }
             counters = self._counters.get(name)
             if counters:

@@ -16,6 +16,8 @@ import time
 from collections import deque
 from typing import Any, Mapping
 
+from ..obs import percentile
+
 __all__ = ["LatencyReservoir", "ServiceMetrics", "json_safe", "percentile"]
 
 
@@ -46,26 +48,6 @@ def json_safe(value: Any) -> Any:
     if isinstance(value, (int, str)):
         return value
     return str(value)
-
-
-def percentile(values, q: float) -> float:
-    """Linear-interpolation percentile of ``values`` (``q`` in [0, 100]).
-
-    Matches ``numpy.percentile``'s default method, implemented locally so
-    snapshots stay cheap and lock-free of numpy allocations.
-    """
-    if not 0 <= q <= 100:
-        raise ValueError("percentile rank must be in [0, 100]")
-    data = sorted(values)
-    if not data:
-        raise ValueError("percentile of an empty reservoir is undefined")
-    if len(data) == 1:
-        return float(data[0])
-    rank = (q / 100.0) * (len(data) - 1)
-    lo = int(rank)
-    hi = min(lo + 1, len(data) - 1)
-    frac = rank - lo
-    return float(data[lo] * (1.0 - frac) + data[hi] * frac)
 
 
 class LatencyReservoir:

@@ -8,10 +8,11 @@ from repro.core import (
     Anchor,
     ConstraintKind,
     ConstraintSystem,
+    LocalizerConfig,
+    NomLocLocalizer,
     WeightedConstraint,
     boundary_constraints,
     pairwise_constraints,
-    pairwise_constraints_batch,
 )
 from repro.geometry import HalfSpace, Point, Polygon
 
@@ -173,7 +174,14 @@ class TestConstraintSystem:
 
 
 class TestPairwiseConstraintsBatch:
-    """The batched builder must replay the scalar builder bit for bit."""
+    """The localizer's batched assembly runs the scalar builder per query.
+
+    ``build_shared_constraints_batch`` returns, per query, the rows of
+    :func:`pairwise_constraints` plus their stacked ``(A, b, w)``, and
+    validates queries in order.
+    """
+
+    AREA = Polygon.rectangle(0, 0, 20, 20)
 
     def _queries(self, nq=6, seed=11):
         rng = np.random.default_rng(seed)
@@ -189,11 +197,19 @@ class TestPairwiseConstraintsBatch:
                             float(rng.uniform(0, 20)), float(rng.uniform(0, 20))
                         ),
                         float(rng.uniform(0.05, 9.0)),
-                        nomadic=bool(rng.random() < 0.3),
+                        # Every query keeps at least one static anchor, so
+                        # it always has a usable pair.
+                        nomadic=bool(i > 0 and rng.random() < 0.3),
                     )
                 )
             queries.append(tuple(anchors))
         return queries
+
+    def _localizer(self, include_nomadic_pairs=True):
+        return NomLocLocalizer(
+            self.AREA,
+            LocalizerConfig(include_nomadic_pairs=include_nomadic_pairs),
+        )
 
     def assert_rows_identical(self, scalar_rows, batch_rows):
         assert len(scalar_rows) == len(batch_rows)
@@ -207,13 +223,17 @@ class TestPairwiseConstraintsBatch:
 
     def test_rows_match_scalar(self):
         queries = self._queries()
-        batched = pairwise_constraints_batch(queries)
+        localizer = self._localizer()
+        batched = localizer.build_shared_constraints_batch(queries)
         for anchors, (rows, _) in zip(queries, batched):
-            self.assert_rows_identical(pairwise_constraints(anchors), rows)
+            self.assert_rows_identical(
+                localizer.build_shared_constraints(anchors), rows
+            )
 
     def test_matrices_match_listcomp_build(self):
         queries = self._queries(seed=12)
-        for rows, (a, b, w) in pairwise_constraints_batch(queries):
+        batched = self._localizer().build_shared_constraints_batch(queries)
+        for rows, (a, b, w) in batched:
             system = ConstraintSystem(tuple(rows))
             a2, b2, w2 = system.matrices()
             assert a.tobytes() == a2.tobytes()
@@ -223,51 +243,70 @@ class TestPairwiseConstraintsBatch:
     def test_nomadic_flag_and_normalization_parity(self):
         queries = self._queries(seed=13)
         for include in (False, True):
-            for norm in (False, True):
-                batched = pairwise_constraints_batch(
-                    queries, include_nomadic_pairs=include, normalize=norm
+            localizer = self._localizer(include_nomadic_pairs=include)
+            batched = localizer.build_shared_constraints_batch(queries)
+            for anchors, (rows, (a, _b, _w)) in zip(queries, batched):
+                self.assert_rows_identical(
+                    pairwise_constraints(
+                        anchors, include_nomadic_pairs=include, normalize=True
+                    ),
+                    rows,
                 )
-                for anchors, (rows, _) in zip(queries, batched):
-                    self.assert_rows_identical(
-                        pairwise_constraints(
-                            anchors,
-                            include_nomadic_pairs=include,
-                            normalize=norm,
-                        ),
-                        rows,
-                    )
+                # Unit normals: every row's slack is measured in metres.
+                assert np.allclose(np.hypot(a[:, 0], a[:, 1]), 1.0)
 
     def test_quality_weights_parity_and_error(self):
         queries = self._queries(nq=3, seed=14)
+        localizer = self._localizer()
         weights = [
             {a.name: 0.5 for a in anchors} for anchors in queries
         ]
-        batched = pairwise_constraints_batch(queries, quality_weights=weights)
+        batched = localizer.build_shared_constraints_batch(
+            queries, quality_weights=weights
+        )
         for anchors, qw, (rows, _) in zip(queries, weights, batched):
             self.assert_rows_identical(
-                pairwise_constraints(anchors, quality_weights=qw), rows
+                localizer.build_shared_constraints(anchors, quality_weights=qw),
+                rows,
             )
         bad = [dict(w) for w in weights]
         bad[1][queries[1][0].name] = 0.0
         with pytest.raises(ValueError, match="must be in \\(0, 1\\]"):
-            pairwise_constraints_batch(queries, quality_weights=bad)
+            localizer.build_shared_constraints_batch(
+                queries, quality_weights=bad
+            )
+        with pytest.raises(ValueError, match="length must match"):
+            localizer.build_shared_constraints_batch(
+                queries, quality_weights=weights[:2]
+            )
 
-    def test_cache_values_identical_lookups_deduped(self):
+    def test_cache_lookups_match_scalar(self):
         from repro.serving.cache import BisectorCache
 
         queries = self._queries(seed=15)
+        localizer = self._localizer()
         scalar_cache = BisectorCache()
         batch_cache = BisectorCache()
         for anchors in queries:
-            pairwise_constraints(anchors, bisector_cache=scalar_cache)
-        batched = pairwise_constraints_batch(queries, bisector_cache=batch_cache)
+            localizer.build_shared_constraints(
+                anchors, bisector_cache=scalar_cache
+            )
+        batched = localizer.build_shared_constraints_batch(
+            queries, bisector_cache=batch_cache
+        )
+        # One lookup per row on both paths: the statistics agree too.
+        assert batch_cache.stats() == scalar_cache.stats()
         for anchors, (rows, _) in zip(queries, batched):
             self.assert_rows_identical(
-                pairwise_constraints(anchors, bisector_cache=scalar_cache),
+                localizer.build_shared_constraints(
+                    anchors, bisector_cache=scalar_cache
+                ),
                 rows,
             )
-        # Second batched pass hits the warm cache and still matches.
-        rebatched = pairwise_constraints_batch(queries, bisector_cache=batch_cache)
+        # A second batched pass hits the warm cache and still matches.
+        rebatched = localizer.build_shared_constraints_batch(
+            queries, bisector_cache=batch_cache
+        )
         for (rows, _), (rows2, _) in zip(batched, rebatched):
             self.assert_rows_identical(rows, rows2)
 
@@ -278,14 +317,24 @@ class TestPairwiseConstraintsBatch:
             Anchor("C1", p, 1.0),
             Anchor("C2", Point(8, 1), 0.5),
         )
+        all_coincident = (Anchor("D0", p, 2.0), Anchor("D1", p, 1.0))
         short = (Anchor("S0", Point(1, 1), 1.0),)
-        batched = pairwise_constraints_batch([coincident, short, ()])
-        rows, (a, b, w) = batched[0]
+        localizer = self._localizer()
+        [(rows, (a, b, w))] = localizer.build_shared_constraints_batch(
+            [coincident]
+        )
         self.assert_rows_identical(pairwise_constraints(coincident), rows)
         assert a.shape == (len(rows), 2)
-        for rows, (a, b, w) in batched[1:]:
-            assert rows == ()
-            assert a.shape == (0, 2) and b.shape == (0,) and w.shape == (0,)
+        assert b.shape == (len(rows),) and w.shape == (len(rows),)
+        # Validation runs in query order: the short query comes first.
+        with pytest.raises(ValueError, match="at least two anchors"):
+            localizer.build_shared_constraints_batch(
+                [coincident, short, all_coincident]
+            )
+        with pytest.raises(ValueError, match="no usable anchor pairs"):
+            localizer.build_shared_constraints_batch(
+                [coincident, all_coincident, short]
+            )
 
 
 class TestConstraintSystemMatricesCache:

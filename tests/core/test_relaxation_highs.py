@@ -16,7 +16,8 @@ inputs that stress a from-scratch simplex:
 
 Every generated system also carries a box of weight-100 rows, as every
 piece's boundary rows do in the localizer.  Two systems this test found
-before the simplex answers were checked are pinned as explicit examples.
+before the simplex answers were checked are pinned as explicit examples,
+with a 90-row one on which HiGHS's own slacks broke a row.
 
 Checks: the optimal cost matches HiGHS within ``1e-6 * (1 + |cost|)``;
 the returned ``(z, t)`` satisfies ``A z - t <= b`` within ``1e-7`` with
@@ -199,6 +200,51 @@ BROKEN_ROW = build(
 )
 
 
+#: Found by this test's generator at 90 rows (``systems(rows=90)``), so
+#: it skips the simplex and goes straight to HiGHS.  HiGHS's own slacks
+#: left one row broken by 1.26e-7, past its 1e-7 feasibility tolerance;
+#: slacks recomputed from HiGHS's point are feasible by construction.
+HIGHS_SLACKS = build(
+    [
+        (1.0, 0.0, 0.0, 1.0),
+        (-0.0, -1.0, -0.5, 1.0),
+        (-0.0, -1.0, -1.0, 1.0),
+        (-0.0, -1.0, -1.5, 1.0),
+        (-1.0, -0.0, -0.5, 1.0),
+        (0.0, 1.0, 0.5, 1.0),
+        (0.0, 1.0, 1.0, 1.0),
+        (0.0, 1.0, 1.5, 1.0),
+        (1.0, 0.0, 0.5, 1.0),
+        (0.0, 1.0, 1.5, 1.0),
+        (0.0, 1.0, 2.0, 1.0),
+        (0.7071067811865475, -0.7071067811865475, 0.0, 1.0),
+        (0.0, 1.0, 2.5, 1.0),
+        (-0.4472135954999579, 0.8944271909999159, 0.6708203932499369, 1.0),
+        (-0.31622776601683794, 0.9486832980505138, 1.2649110640673518, 1.0),
+        (-0.0, 1.0, 2.5, 1.0),
+        (0.12403472549407439, 0.9922778778505593, 1.9535469265316607, 1.0),
+        (-0.0, 1.0, 3.5, 1.0),
+        (-0.0, 1.0, 2.0, 1.0),
+        (-0.9774141654398673, 0.21133279252753887, -8.618415445263695, 1.0),
+        (-0.44721348892281276, -0.8944272442884804, -0.3354101166920698, 1.0),
+        (0.0, 1.0, 2.0, 1.0),
+        (0.0, -1.0, -0.5, 1.0),
+        (-0.9985422732775083, 0.05397525801500045, -9.209528398809452, 1.0),
+        (0.16439897142216453, 0.9863939264793424, 1.4384909999439248, 1.0),
+        (-0.9999999999998226, -5.957844775923837e-07, 0.2500000000000444, 1.0),
+        (-0.9999999999999998, -1.5678538884012876e-08, -8.999999999999995, 1.0),
+        (-0.0, 1.0, 1.5, 1.0),
+        (-0.9871054777475851, 0.16007115855366244, -8.890618931334668, 1.0),
+        (-1.0, -0.0, -9.25, 1.0),
+        (1.0, 0.0, 5.0, 100.0),
+        (0.0, 1.0, 5.0, 100.0),
+        (-1.0, 0.0, 5.0, 100.0),
+        (0.0, -1.0, 5.0, 100.0),
+    ]
+    + [(1.0, 0.0, 0.0, 1.0)] * 56
+)
+
+
 #: HiGHS's default feasibility tolerances (1e-7) let a weighted slack
 #: drift by more than the comparison allows; tighter ones agree with the
 #: exact optimum but occasionally stall, and then the defaults decide.
@@ -236,6 +282,7 @@ class TestAgainstHighs:
     @given(systems())
     @example(FALSE_RAY)
     @example(BROKEN_ROW)
+    @example(HIGHS_SLACKS)
     @settings(max_examples=150, deadline=None)
     def test_cost_matches_highs(self, system):
         ours = solve_relaxation(system)
@@ -245,6 +292,7 @@ class TestAgainstHighs:
     @given(systems())
     @example(FALSE_RAY)
     @example(BROKEN_ROW)
+    @example(HIGHS_SLACKS)
     @settings(max_examples=150, deadline=None)
     def test_solution_is_feasible(self, system):
         result = solve_relaxation(system)

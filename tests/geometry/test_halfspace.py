@@ -14,6 +14,7 @@ from repro.geometry import (
     halfspaces_to_matrix,
     intersect_halfspaces,
 )
+from repro.geometry.halfspace import _intersect_rows
 
 coords = st.floats(min_value=-20, max_value=20, allow_nan=False, allow_infinity=False)
 points = st.builds(Point, coords, coords)
@@ -169,3 +170,72 @@ class TestClipping:
             if region is None:
                 break
             assert region.area() <= prev_area + 1e-6
+
+
+class TestIntersectRows:
+    """``_intersect_rows`` (the localizer's clipper) on ``(A, b)`` stacks.
+
+    It promises the polygon of :func:`intersect_halfspaces` over the same
+    rows as :class:`HalfSpace` objects, so comparisons are exact (``==``
+    on vertex floats), never ``approx``.
+    """
+
+    BOUND = Polygon.rectangle(0.0, 0.0, 20.0, 14.0)
+
+    @staticmethod
+    def random_stack(rng, max_rows=8):
+        m = int(rng.integers(0, max_rows + 1))
+        a = rng.normal(size=(m, 2))
+        # Offsets biased so many rows actually cut through the bound.
+        b = a @ rng.uniform([2, 2], [18, 12]) + rng.normal(scale=4.0, size=m)
+        return a, b
+
+    def assert_matches_objects(self, a, b):
+        halfspaces = [HalfSpace(a[j, 0], a[j, 1], b[j]) for j in range(len(b))]
+        expected = intersect_halfspaces(halfspaces, self.BOUND)
+        got = _intersect_rows(a, b, self.BOUND)
+        if expected is None or got is None:
+            assert expected is None and got is None
+            return got
+        assert [(p.x, p.y) for p in got.vertices] == [
+            (p.x, p.y) for p in expected.vertices
+        ]
+        return got
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_stacks_match_intersect_halfspaces(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(24):
+            self.assert_matches_objects(*self.random_stack(rng))
+
+    def test_empty_stack_returns_bound(self):
+        region = self.assert_matches_objects(np.zeros((0, 2)), np.zeros(0))
+        assert region.vertices == self.BOUND.vertices
+
+    def test_single_row_stack(self):
+        region = self.assert_matches_objects(
+            np.array([[1.0, 0.0]]), np.array([7.0])
+        )
+        assert region.area() == pytest.approx(7.0 * 14.0)
+
+    def test_infeasible_stack_is_none(self):
+        # x <= -1 and x >= 1 cannot meet inside the bound.
+        a = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        assert self.assert_matches_objects(a, np.array([-1.0, -1.0])) is None
+        # A row that excludes the whole bound is infeasible on its own.
+        assert (
+            self.assert_matches_objects(np.array([[1.0, 0.0]]), np.array([-5.0]))
+            is None
+        )
+
+    def test_mixed_row_counts(self):
+        rng = np.random.default_rng(7)
+        for max_rows in (1, 12) * 12:
+            self.assert_matches_objects(*self.random_stack(rng, max_rows))
+
+    def test_degenerate_sliver_stacks(self):
+        # Two parallel cuts leaving (almost) zero area: slivers collapse
+        # to None exactly as the object path does.
+        a = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        for eps in (0.0, 1e-13, 1e-9, 1e-3):
+            self.assert_matches_objects(a, np.array([5.0 + eps, -5.0]))

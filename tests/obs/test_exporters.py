@@ -3,6 +3,7 @@
 import io
 
 import numpy as np
+import pytest
 
 from repro.obs import (
     SpanAggregator,
@@ -11,6 +12,7 @@ from repro.obs import (
     dump_jsonl,
     format_stage_table,
     load_jsonl,
+    percentile,
     write_jsonl,
 )
 
@@ -92,3 +94,17 @@ class TestStageTable:
         table = format_stage_table({})
         assert "stage" in table.splitlines()[0]
         assert len(table.splitlines()) == 2
+
+
+class TestPercentile:
+    def test_one_helper_for_obs_and_serving(self):
+        from repro.serving import percentile as serving_percentile
+
+        assert serving_percentile is percentile
+
+    def test_matches_numpy_and_rejects_empty(self):
+        values = [0.004, 0.001, 0.009, 0.002]
+        for q in (0, 25, 50, 95, 100):
+            assert percentile(values, q) == float(np.percentile(values, q))
+        with pytest.raises(ValueError):
+            percentile([], 50)
