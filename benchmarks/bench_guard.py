@@ -5,7 +5,9 @@ Two claims of the ``repro.guard`` subsystem, benchmarked:
 * **Zero faults** — a :class:`repro.guard.GuardedSystem` composed with an
   empty :class:`repro.guard.LinkFaultInjector` answers *bit-identically*
   to the plain :class:`repro.core.NomLocSystem` pipeline on every query
-  (the gate never perturbs clean traffic).
+  (the gate never perturbs clean traffic: a clean verdict averages the
+  row maxima with ``repro.core.pdp.packet_mean``, the accumulation
+  ``estimate_pdp`` uses).
 * **Corruption drill** — with every link hit by an oscillator phase
   smear at 20% probability per query, the gating-ON arm's median error
   beats the gating-OFF arm.  The OFF arm trusts the smeared links'

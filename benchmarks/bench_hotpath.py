@@ -1,14 +1,15 @@
-"""HOTPATH — measurement fast path: vectorized vs scalar, parallel campaigns.
+"""HOTPATH — measurement fast path: vectorized vs per-packet, parallel campaigns.
 
-Three quality gates over the PR's performance work, enforced in CI's
+Three quality gates over the measurement path, enforced in CI's
 benchmark smoke job:
 
 * **synthesis speedup** — the vectorized ``CSISynthesizer.synthesize_batch``
-  must beat the scalar reference loop by ``MIN_SYNTHESIS_SPEEDUP`` at the
-  canonical 100 packets x 8 paths workload;
-* **bit-exactness** — vectorized synthesis (CSI + RSSI), batched PDP
+  must beat the per-packet oracle loop (``tests/oracles.py``) by
+  ``MIN_SYNTHESIS_SPEEDUP`` at the canonical 100 packets x 8 paths
+  workload;
+* **bit-exactness** — vectorized synthesis (CSI + RSSI), stacked PDP
   extraction, and process-parallel campaigns must all reproduce their
-  scalar/sequential references bit-for-bit;
+  per-packet/sequential references bit-for-bit;
 * **ledger** — metrics are persisted both as the human table
   (``results/HOTPATH.txt``) and as machine-readable JSON
   (``results/BENCH_hotpath.json``).
@@ -17,6 +18,8 @@ The campaign parallel speedup is *reported*, not asserted: CI runners may
 expose a single core, where process fan-out only pays overhead.
 """
 
+import pathlib
+import sys
 import time
 
 import numpy as np
@@ -28,16 +31,21 @@ from repro.channel import (
     PathKind,
 )
 from repro.core import NomLocSystem, SystemConfig
-from repro.core.pdp import estimate_pdp, estimate_pdp_batch
+from repro.core.pdp import estimate_pdp
 from repro.environment import get_scenario
 from repro.eval import format_table, run_campaign
 
 from conftest import run_once
 
+# The per-packet references live with the tests; make the repo root
+# importable when pytest runs from inside benchmarks/.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
+from tests import oracles  # noqa: E402
+
 PACKETS = 100
 PATHS = 8
 ROUNDS = 3
-#: Vectorized synthesis must beat the scalar loop by this factor.
+#: Vectorized synthesis must beat the per-packet oracle by this factor.
 MIN_SYNTHESIS_SPEEDUP = 3.0
 
 CAMPAIGN_SITES = 4
@@ -84,8 +92,8 @@ def _synthesis_comparison() -> dict:
     paths = _make_paths()
 
     scalar_s, scalar_batch = _best_of(
-        lambda: synthesizer.synthesize_batch_scalar(
-            paths, PACKETS, np.random.default_rng(SEED)
+        lambda: oracles.synthesize_batch_scalar(
+            synthesizer, paths, PACKETS, np.random.default_rng(SEED)
         )
     )
     vector_s, vector_batch = _best_of(
@@ -114,8 +122,10 @@ def _synthesis_comparison() -> dict:
 
 
 def _pdp_comparison(measurements) -> dict:
-    scalar_s, scalar_value = _best_of(lambda: estimate_pdp(measurements))
-    batch_s, batch_value = _best_of(lambda: estimate_pdp_batch(measurements))
+    scalar_s, scalar_value = _best_of(
+        lambda: oracles.estimate_pdp(measurements)
+    )
+    batch_s, batch_value = _best_of(lambda: estimate_pdp(measurements))
     return {
         "packets": len(measurements),
         "scalar_s": scalar_s,
@@ -173,13 +183,13 @@ def test_hotpath(benchmark, save_result, save_json):
 
     # Gate 1: the fast path computes the same floats, everywhere.
     assert synthesis["csi_bit_identical"], (
-        "vectorized synthesize_batch diverged from the scalar reference CSI"
+        "vectorized synthesize_batch diverged from the per-packet oracle CSI"
     )
     assert synthesis["rssi_bit_identical"], (
-        "vectorized RSSI reporting diverged from the scalar reference"
+        "vectorized RSSI reporting diverged from the per-packet oracle"
     )
     assert pdp["bit_identical"], (
-        "batched PDP estimation diverged from the scalar reference"
+        "stacked PDP estimation diverged from the per-packet oracle"
     )
     assert campaign["bit_identical"], (
         "process-parallel campaign diverged from the sequential reference"
@@ -188,7 +198,7 @@ def test_hotpath(benchmark, save_result, save_json):
     # Gate 2: vectorization actually pays at the canonical workload.
     assert synthesis["speedup"] >= MIN_SYNTHESIS_SPEEDUP, (
         f"vectorized synthesis only {synthesis['speedup']:.2f}x faster "
-        f"than scalar (floor {MIN_SYNTHESIS_SPEEDUP:.1f}x): "
+        f"than the per-packet oracle (floor {MIN_SYNTHESIS_SPEEDUP:.1f}x): "
         f"{synthesis['vectorized_s'] * 1e3:.2f} ms vs "
         f"{synthesis['scalar_s'] * 1e3:.2f} ms"
     )

@@ -64,47 +64,18 @@ class DelayProfile:
         comparison against the max-power estimator)."""
         return float(self.powers[0])
 
-    def peak_delay_s(self) -> float:
-        """Delay of the strongest tap."""
-        return float(self.delays_s[int(np.argmax(self.powers))])
-
     def truncated(self, max_delay_s: float) -> "DelayProfile":
         """Profile restricted to taps at or before ``max_delay_s``."""
         mask = self.delays_s <= max_delay_s + 1e-15
         return DelayProfile(self.delays_s[mask], self.amplitudes[mask])
 
 
-def csi_to_cir(measurement: CSIMeasurement) -> np.ndarray:
-    """IFFT the CSI snapshot onto the full FFT tap grid.
-
-    The active subcarriers are placed at their FFT bin positions (negative
-    indices wrap, DC and guard bins stay zero) and a standard inverse FFT
-    produces ``n_fft`` complex taps spaced ``1 / bandwidth`` apart.
-    """
-    cfg = measurement.config
-    grid = np.zeros(cfg.n_fft, dtype=complex)
-    for value, idx in zip(measurement.csi, cfg.active_subcarriers):
-        grid[idx % cfg.n_fft] = value
-    # Scale so a flat channel of unit gain yields a unit first tap,
-    # independent of how many subcarriers were measured.
-    taps = np.fft.ifft(grid) * (cfg.n_fft / len(cfg.active_subcarriers))
-    return taps
-
-
-def delay_profile(measurement: CSIMeasurement) -> DelayProfile:
-    """Power delay profile (Fig. 3 of the paper) of one CSI snapshot."""
-    with span("cir.delay_profile", taps=measurement.config.n_fft):
-        cfg = measurement.config
-        taps = csi_to_cir(measurement)
-        delays = np.arange(cfg.n_fft) * cfg.tap_resolution_s
-        return DelayProfile(delays, np.abs(taps))
-
-
 # ----------------------------------------------------------------------
-# Batched extraction: one stacked IFFT for a whole packet batch.  Every
-# function below is bit-identical to mapping its scalar counterpart over
-# the batch (NumPy's pocketfft computes 2-D row transforms with the same
-# 1-D kernel) — enforced in ``tests/channel`` and the hotpath benchmark.
+# Extraction is one stacked IFFT per packet batch; the single-packet
+# functions are batches of one.  NumPy's pocketfft computes 2-D row
+# transforms with the same 1-D kernel, so each row equals the per-packet,
+# per-subcarrier IFFT kept as the oracle in ``tests/oracles.py`` —
+# enforced in ``tests/core`` and the hotpath benchmark.
 # ----------------------------------------------------------------------
 
 def _stack_batch(
@@ -128,30 +99,37 @@ def csi_to_cir_batch(
 ) -> np.ndarray:
     """Stacked IFFT: one ``(packets, n_fft)`` matrix of complex taps.
 
-    Row ``i`` equals ``csi_to_cir(measurements[i])`` bit-for-bit; the
-    batch pays one 2-D IFFT instead of ``packets`` 1-D ones.  All
-    measurements must share one OFDM config.
+    Each packet's active subcarriers are placed at their FFT bin
+    positions (negative indices wrap, DC and guard bins stay zero) and
+    one inverse FFT over the rows produces ``n_fft`` complex taps per
+    packet, spaced ``1 / bandwidth`` apart.  All measurements must share
+    one OFDM config; a mixed batch raises :class:`ValueError`.
     """
     ms, matrix = _stack_batch(measurements)
     cfg = ms[0].config
     grid = np.zeros((len(ms), cfg.n_fft), dtype=complex)
     cols = [idx % cfg.n_fft for idx in cfg.active_subcarriers]
     grid[:, cols] = matrix
+    # Scale so a flat channel of unit gain yields a unit first tap,
+    # independent of how many subcarriers were measured.
     return np.fft.ifft(grid, axis=1) * (
         cfg.n_fft / len(cfg.active_subcarriers)
     )
+
+
+def csi_to_cir(measurement: CSIMeasurement) -> np.ndarray:
+    """:func:`csi_to_cir_batch` of one CSI snapshot: ``n_fft`` taps."""
+    return csi_to_cir_batch([measurement])[0]
 
 
 def tap_powers_batch(
     measurements: Sequence[CSIMeasurement],
 ) -> np.ndarray:
     """Per-tap powers ``|h[n]|^2`` of a batch, as a ``(packets, n_fft)``
-    matrix — the input of the batched PDP estimators."""
+    matrix — the input of the PDP estimators."""
     ms = list(measurements)
     if not ms:
         raise ValueError("need at least one CSI measurement")
-    # Same span name as the scalar extractor, so per-stage profiles keep
-    # covering CIR extraction regardless of which path served it.
     with span("cir.delay_profile", taps=ms[0].config.n_fft, batch=len(ms)):
         return np.abs(csi_to_cir_batch(ms)) ** 2
 
@@ -159,10 +137,7 @@ def tap_powers_batch(
 def delay_profile_batch(
     measurements: Sequence[CSIMeasurement],
 ) -> list[DelayProfile]:
-    """Power delay profiles of a whole packet batch via one stacked IFFT.
-
-    Element ``i`` equals ``delay_profile(measurements[i])`` bit-for-bit.
-    """
+    """Power delay profiles of a whole packet batch via one stacked IFFT."""
     ms = list(measurements)
     if not ms:
         return []
@@ -171,3 +146,8 @@ def delay_profile_batch(
         amplitudes = np.abs(csi_to_cir_batch(ms))
         delays = np.arange(cfg.n_fft) * cfg.tap_resolution_s
         return [DelayProfile(delays, row) for row in amplitudes]
+
+
+def delay_profile(measurement: CSIMeasurement) -> DelayProfile:
+    """Power delay profile (Fig. 3 of the paper) of one CSI snapshot."""
+    return delay_profile_batch([measurement])[0]

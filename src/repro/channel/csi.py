@@ -239,39 +239,12 @@ class CSISynthesizer:
         rng: np.random.Generator,
         with_fading: bool = True,
     ) -> CSIMeasurement:
-        """Produce one packet's CSI snapshot over the given path set."""
-        if not paths:
-            raise ValueError("need at least one path component")
-        freqs = self.ofdm.carrier_hz + self.ofdm.subcarrier_frequencies_hz()
-        csi = np.zeros(len(freqs), dtype=complex)
-        for component in paths:
-            amplitude = self.path_amplitude(component)
-            gain = (
-                self.fading.sample_gain(component, rng) if with_fading else 1.0
-            )
-            csi += (
-                amplitude
-                * gain
-                * np.exp(-2j * np.pi * freqs * component.delay_s)
-            )
-        if self.noise is not None:
-            csi += self.noise.sample_subcarrier_noise(len(freqs), rng)
-        rssi = self._report_rssi(csi, rng)
-        return CSIMeasurement(csi, self.ofdm, rssi)
+        """Produce one packet's CSI snapshot over the given path set.
 
-    def _report_rssi(self, csi: np.ndarray, rng: np.random.Generator) -> float:
-        """The firmware's coarse RSSI: jittered, quantized total power."""
-        power_mw = float(np.sum(np.abs(csi) ** 2))
-        power_mw = max(power_mw, 1e-30)
-        dbm = 10.0 * np.log10(power_mw)
-        if self.rssi_jitter_db > 0:
-            dbm += float(rng.normal(0.0, self.rssi_jitter_db))
-        if self.rssi_quantization_db > 0:
-            dbm = (
-                round(dbm / self.rssi_quantization_db)
-                * self.rssi_quantization_db
-            )
-        return float(dbm)
+        A batch of one: the draws and floats are those of the first
+        packet of :meth:`synthesize_batch` from the same generator state.
+        """
+        return self.synthesize_batch(paths, 1, rng, with_fading)[0]
 
     def link_terms(self, paths: Sequence[PathComponent]) -> LinkTerms:
         """The per-link terms of :meth:`synthesize_batch` for ``paths``.
@@ -307,9 +280,10 @@ class CSISynthesizer:
 
         Vectorized over the whole ``(packets, paths, subcarriers)`` batch
         (see :meth:`_synthesize_batch_vectorized`); the outputs and the
-        generator's final stream position are bit-identical to
-        :meth:`synthesize_batch_scalar` — enforced by
-        ``benchmarks/bench_hotpath.py`` and ``tests/channel``.
+        generator's final stream position are bit-identical to the
+        per-packet, per-path loop kept as the oracle in
+        ``tests/oracles.py`` — enforced by ``tests/channel`` and
+        ``benchmarks/bench_hotpath.py``.
         """
         return self.synthesize_terms(
             self.link_terms(paths), num_packets, rng, with_fading
@@ -335,25 +309,6 @@ class CSISynthesizer:
                 terms, num_packets, rng, with_fading
             )
 
-    def synthesize_batch_scalar(
-        self,
-        paths: Sequence[PathComponent],
-        num_packets: int,
-        rng: np.random.Generator,
-        with_fading: bool = True,
-    ) -> list[CSIMeasurement]:
-        """Reference per-packet loop the vectorized batch must reproduce.
-
-        Kept as the ground truth for the bit-exactness guards; not used on
-        the hot path.
-        """
-        if num_packets < 0:
-            raise ValueError("num_packets must be non-negative")
-        return [
-            self.synthesize(paths, rng, with_fading)
-            for _ in range(num_packets)
-        ]
-
     # ------------------------------------------------------------------
     # Vectorized fast path
     # ------------------------------------------------------------------
@@ -366,7 +321,7 @@ class CSISynthesizer:
     ) -> list[CSIMeasurement]:
         """One NumPy pass over the packet batch.
 
-        RNG draw-order contract (must match the scalar loop exactly): for
+        RNG draw-order contract (that of the per-packet oracle): for
         each packet, (1) two standard normals per path — real then
         imaginary fading component, in path order; (2) the noise model's
         draws — ``S`` real then ``S`` imaginary normals; (3) one RSSI
@@ -374,7 +329,7 @@ class CSISynthesizer:
         interference bursts every packet's draws are one contiguous run
         of standard normals, so the whole batch is one
         ``standard_normal(P * (2K + 2S + 1))`` call reshaped to one row
-        per packet; PCG64 fills it exactly as the scalar calls would.
+        per packet; PCG64 fills it exactly as per-packet calls would.
         Bursty noise interleaves a ``uniform()`` per packet, so it keeps
         a per-packet draw loop.  All arithmetic on the draws is batched
         either way.
@@ -420,20 +375,21 @@ class CSISynthesizer:
         if noise_rows is not None:
             csi += noise_rows
         jitters = 0.0 + self.rssi_jitter_db * jitter_z[:, 0] if n_jitter else None
-        rssi = self._report_rssi_batch(csi, jitters)
+        rssi = self._report_rssi(csi, jitters)
         return [
             CSIMeasurement(csi[p], self.ofdm, rssi[p])
             for p in range(num_packets)
         ]
 
-    def _report_rssi_batch(
+    def _report_rssi(
         self, csi: np.ndarray, jitters: np.ndarray | None
     ) -> list[float]:
-        """Vectorized :meth:`_report_rssi` over a ``(packets, sc)`` batch.
+        """The firmware's coarse RSSI per packet of a ``(packets, sc)``
+        batch: jittered, quantized total power.
 
-        ``np.round`` matches the scalar path's ``round`` (both
-        round-half-even), and per-row sums reduce in the same order as
-        the scalar 1-D sums, so reported values are bit-identical.
+        ``np.round`` rounds half to even like Python's ``round``, and
+        per-row sums reduce in the same order as 1-D sums, so each value
+        equals the per-packet computation bit for bit.
         """
         power_mw = np.sum(np.abs(csi) ** 2, axis=1)
         power_mw = np.maximum(power_mw, 1e-30)

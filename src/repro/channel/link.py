@@ -133,7 +133,7 @@ class LinkSimulator:
         with_fading: bool = True,
     ) -> CSIMeasurement:
         """One packet's CSI snapshot on the ``tx -> rx`` link."""
-        return self.synthesizer.synthesize(self.paths(tx, rx), rng, with_fading)
+        return self.measure_batch(tx, rx, 1, rng, with_fading)[0]
 
     def measure_batch(
         self,

@@ -25,9 +25,7 @@ from .pdp import (
     confidence_factor_power,
     confidence_factor_rational,
     estimate_first_tap,
-    estimate_first_tap_batch,
     estimate_pdp,
-    estimate_pdp_batch,
     estimate_pdp_median,
     estimate_pdp_skip_invalid,
     estimate_rss,
@@ -45,12 +43,10 @@ __all__ = [
     "CONFIDENCE_FUNCTIONS",
     "proximity_confidence",
     "estimate_pdp",
-    "estimate_pdp_batch",
     "estimate_pdp_skip_invalid",
     "estimate_pdp_median",
     "estimate_rss",
     "estimate_first_tap",
-    "estimate_first_tap_batch",
     "PROXIMITY_METRICS",
     "ProximityJudgement",
     "judge_proximity",

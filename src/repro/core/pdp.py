@@ -13,13 +13,12 @@ in favour of the stronger AP.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..channel.cir import delay_profile, tap_powers_batch
+from ..channel.cir import tap_powers_batch
 from ..channel.csi import CSIMeasurement
 
 __all__ = [
@@ -30,12 +29,11 @@ __all__ = [
     "CONFIDENCE_FUNCTIONS",
     "proximity_confidence",
     "estimate_pdp",
-    "estimate_pdp_batch",
     "estimate_pdp_skip_invalid",
     "estimate_pdp_median",
     "estimate_rss",
     "estimate_first_tap",
-    "estimate_first_tap_batch",
+    "packet_mean",
     "PROXIMITY_METRICS",
     "ProximityJudgement",
     "judge_proximity",
@@ -118,6 +116,51 @@ def proximity_confidence(pdp_i: float, pdp_j: float, fn=confidence_factor) -> fl
     return fn(lo / hi)
 
 
+def packet_mean(values: Sequence[float], keep: Sequence[bool] | None = None) -> float:
+    """Mean of per-packet ``values``, summed one float at a time in
+    packet order.
+
+    The one accumulation behind every estimator below and the guard's
+    verdicts (:func:`repro.guard.assess_link`): the same kept values
+    give the same bits whichever caller averages them.  ``keep`` masks
+    packets out of the mean; at least one must remain.
+    """
+    if keep is not None:
+        values = [v for v, kept in zip(values, keep) if kept]
+    if not len(values):
+        raise ValueError("need at least one CSI measurement")
+    total = 0.0
+    for value in values:
+        total += float(value)
+    return total / len(values)
+
+
+def _require_finite(finite: np.ndarray) -> None:
+    """Raise :class:`InvalidMeasurementError` unless every packet is
+    flagged finite."""
+    if not finite.all():
+        bad = int(np.flatnonzero(~finite)[0])
+        raise InvalidMeasurementError(
+            f"non-finite CSI in packet {bad}; reject the packet or use "
+            "estimate_pdp_skip_invalid"
+        )
+
+
+def _finite_tap_powers(
+    measurements: Iterable[CSIMeasurement],
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(tap powers, per-packet max tap power)`` of a finite batch.
+
+    One stacked IFFT over the batch (a batch mixing OFDM configs raises
+    :class:`ValueError`).  Any NaN/Inf in a packet's CSI reaches its
+    row maximum, so checking the maxima vets every tap.
+    """
+    rows = tap_powers_batch(measurements)
+    maxima = rows.max(axis=1)
+    _require_finite(np.isfinite(maxima))
+    return rows, maxima
+
+
 def estimate_pdp(measurements: Iterable[CSIMeasurement]) -> float:
     """Estimate a link's PDP from a batch of CSI snapshots.
 
@@ -129,25 +172,15 @@ def estimate_pdp(measurements: Iterable[CSIMeasurement]) -> float:
     Raises
     ------
     InvalidMeasurementError
-        When any packet's tap powers are non-finite (a NaN/Inf burst in
-        the CSI): one poisoned packet would otherwise turn the link's
-        whole mean into NaN silently.  Use
-        :func:`estimate_pdp_skip_invalid` to tolerate such packets.
+        When any packet's CSI is non-finite (a NaN/Inf burst): one
+        poisoned packet would otherwise turn the link's whole mean into
+        NaN silently.  Use :func:`estimate_pdp_skip_invalid` to
+        tolerate such packets.  Every estimator of
+        :data:`PROXIMITY_METRICS` raises it likewise.
+    ValueError
+        On an empty batch, or one mixing OFDM configs.
     """
-    total = 0.0
-    count = 0
-    for m in measurements:
-        value = delay_profile(m).max_power()
-        if not math.isfinite(value):
-            raise InvalidMeasurementError(
-                f"non-finite tap power in packet {count}; reject the "
-                "packet or use estimate_pdp_skip_invalid"
-            )
-        total += value
-        count += 1
-    if count == 0:
-        raise ValueError("need at least one CSI measurement")
-    return total / count
+    return packet_mean(_finite_tap_powers(measurements)[1])
 
 
 def estimate_rss(measurements: Iterable[CSIMeasurement]) -> float:
@@ -160,14 +193,11 @@ def estimate_rss(measurements: Iterable[CSIMeasurement]) -> float:
     quantization, so it is both multipath-inflated and temporally
     unstable.  Provided for the ABL-METRIC ablation.
     """
-    total = 0.0
-    count = 0
-    for m in measurements:
-        total += m.rssi_mw()
-        count += 1
-    if count == 0:
-        raise ValueError("need at least one CSI measurement")
-    return total / count
+    ms = list(measurements)
+    rssi = np.array([m.rssi_mw() for m in ms], dtype=float)
+    csi_ok = np.array([np.isfinite(m.csi).all() for m in ms], dtype=bool)
+    _require_finite(np.isfinite(rssi) & csi_ok)
+    return packet_mean(rssi)
 
 
 def estimate_first_tap(measurements: Iterable[CSIMeasurement]) -> float:
@@ -177,59 +207,7 @@ def estimate_first_tap(measurements: Iterable[CSIMeasurement]) -> float:
     under NLOS exactly as the paper warns for TOA (the direct tap is
     crushed while reflections persist).  Provided for ABL-METRIC.
     """
-    total = 0.0
-    count = 0
-    for m in measurements:
-        total += delay_profile(m).first_tap_power()
-        count += 1
-    if count == 0:
-        raise ValueError("need at least one CSI measurement")
-    return total / count
-
-
-def _tap_power_rows(
-    measurements: Sequence[CSIMeasurement],
-) -> np.ndarray | None:
-    """``(packets, n_fft)`` tap-power matrix via one stacked IFFT.
-
-    Returns ``None`` for batches mixing OFDM configs (cannot be stacked)
-    — callers then fall back to the per-measurement reference path,
-    which computes the same values one IFFT at a time.
-    """
-    try:
-        return tap_powers_batch(measurements)
-    except ValueError:
-        return None
-
-
-def estimate_pdp_batch(measurements: Iterable[CSIMeasurement]) -> float:
-    """Vectorized :func:`estimate_pdp`: one stacked IFFT per link batch.
-
-    Bit-identical to the scalar estimator (the row maxima are the same
-    floats and are accumulated in the same order); this is the estimator
-    the anchor-building fast path uses, with the scalar loop kept as the
-    reference implementation.  Like the scalar path it raises
-    :class:`InvalidMeasurementError` on non-finite inputs — checking the
-    per-packet maxima catches any NaN/Inf in the batch, since a single
-    non-finite tap power propagates to its row maximum.
-    """
-    ms = list(measurements)
-    if not ms:
-        raise ValueError("need at least one CSI measurement")
-    rows = _tap_power_rows(ms)
-    if rows is None:
-        return estimate_pdp(ms)
-    maxima = rows.max(axis=1)
-    if not np.isfinite(maxima).all():
-        bad = int(np.flatnonzero(~np.isfinite(maxima))[0])
-        raise InvalidMeasurementError(
-            f"non-finite tap power in packet {bad}; reject the packet "
-            "or use estimate_pdp_skip_invalid"
-        )
-    total = 0.0
-    for value in maxima:
-        total += float(value)
-    return total / len(ms)
+    return packet_mean(_finite_tap_powers(measurements)[0][:, 0])
 
 
 def estimate_pdp_skip_invalid(
@@ -239,53 +217,25 @@ def estimate_pdp_skip_invalid(
 
     The guard layer's estimator: packets whose tap powers are NaN/Inf
     (firmware glitches, interference bursts) are dropped and the mean is
-    taken over the finite remainder — accumulated sequentially in packet
-    order, so with zero invalid packets the result is bit-identical to
-    :func:`estimate_pdp_batch`.
+    taken over the finite remainder with :func:`packet_mean`, so with
+    zero invalid packets the result is bit-identical to
+    :func:`estimate_pdp`.
 
     Raises
     ------
     ValueError
-        On an empty batch.
+        On an empty batch, or one mixing OFDM configs.
     InvalidMeasurementError
         When *every* packet is invalid — there is no salvageable signal
         and the link must be rejected, not averaged.
     """
-    ms = list(measurements)
-    if not ms:
-        raise ValueError("need at least one CSI measurement")
-    rows = _tap_power_rows(ms)
-    if rows is None:
-        maxima = np.array([delay_profile(m).max_power() for m in ms])
-    else:
-        maxima = rows.max(axis=1)
-    total = 0.0
-    count = 0
-    for value in maxima:
-        if math.isfinite(value):
-            total += float(value)
-            count += 1
-    if count == 0:
+    maxima = tap_powers_batch(measurements).max(axis=1)
+    finite = np.isfinite(maxima)
+    if not finite.any():
         raise InvalidMeasurementError(
             "every packet in the batch is non-finite; link must be rejected"
         )
-    return total / count
-
-
-def estimate_first_tap_batch(
-    measurements: Iterable[CSIMeasurement],
-) -> float:
-    """Vectorized :func:`estimate_first_tap` (bit-identical)."""
-    ms = list(measurements)
-    if not ms:
-        raise ValueError("need at least one CSI measurement")
-    rows = _tap_power_rows(ms)
-    if rows is None:
-        return estimate_first_tap(ms)
-    total = 0.0
-    for value in rows[:, 0]:
-        total += float(value)
-    return total / len(ms)
+    return packet_mean(maxima, finite)
 
 
 def estimate_pdp_median(measurements: Iterable[CSIMeasurement]) -> float:
@@ -294,28 +244,19 @@ def estimate_pdp_median(measurements: Iterable[CSIMeasurement]) -> float:
     The mean estimator of :func:`estimate_pdp` is sensitive to occasional
     packets whose channel estimate was corrupted by a co-channel
     collision; the median discards those outliers at the cost of slightly
-    higher variance on clean links.  Computed from the stacked tap-power
-    matrix when the batch shares one OFDM config.
+    higher variance on clean links.
     """
-    ms = list(measurements)
-    if not ms:
-        raise ValueError("need at least one CSI measurement")
-    rows = _tap_power_rows(ms)
-    if rows is None:
-        values = [delay_profile(m).max_power() for m in ms]
-        return float(np.median(values))
-    return float(np.median(rows.max(axis=1)))
+    return float(np.median(_finite_tap_powers(measurements)[1]))
 
 
-#: Link-strength estimators usable as the proximity metric.  ``pdp`` and
-#: ``first_tap`` point at the batched implementations — bit-identical to
-#: their scalar references, one stacked IFFT per link instead of one per
-#: packet.
+#: Link-strength estimators usable as the proximity metric.  Each takes
+#: one link's packet batch and raises :class:`InvalidMeasurementError` on
+#: non-finite CSI.
 PROXIMITY_METRICS = {
-    "pdp": estimate_pdp_batch,
+    "pdp": estimate_pdp,
     "pdp_median": estimate_pdp_median,
     "rss": estimate_rss,
-    "first_tap": estimate_first_tap_batch,
+    "first_tap": estimate_first_tap,
 }
 
 

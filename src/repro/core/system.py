@@ -39,7 +39,7 @@ from ..channel.csi import CSIMeasurement
 from ..mobility.traces import TraceStep
 from .constraints import Anchor
 from .localizer import LocalizerConfig, LocationEstimate, NomLocLocalizer
-from .pdp import PROXIMITY_METRICS, estimate_pdp_batch
+from .pdp import PROXIMITY_METRICS, estimate_pdp
 
 __all__ = ["SystemConfig", "LinkRecord", "NomLocSystem", "measure_link_pdp"]
 
@@ -113,14 +113,14 @@ gather_link_records` stops *before* collapsing each batch into a PDP
     antenna_gain: float = 1.0
     nomadic: bool = False
 
-    def estimate(self, estimator=estimate_pdp_batch) -> float:
+    def estimate(self, estimator=estimate_pdp) -> float:
         """The link's gained PDP estimate, as the ungated path computes it."""
         pdp = estimator(self.measurements)
         pdp *= self.device_gain
         pdp *= self.antenna_gain
         return pdp
 
-    def to_anchor(self, estimator=estimate_pdp_batch) -> Anchor:
+    def to_anchor(self, estimator=estimate_pdp) -> Anchor:
         """Collapse the batch into the anchor the localizer consumes."""
         return Anchor(
             self.name, self.position, self.estimate(estimator), self.nomadic
@@ -133,14 +133,13 @@ def measure_link_pdp(
     rx: Point,
     packets: int,
     rng: np.random.Generator,
-    estimator=estimate_pdp_batch,
+    estimator=estimate_pdp,
 ) -> float:
     """Estimate a link's strength from a batch of simulated packets.
 
-    ``estimator`` defaults to the paper's PDP (max CIR tap power, the
-    vectorized stacked-IFFT implementation — bit-identical to the scalar
-    :func:`~repro.core.pdp.estimate_pdp` reference); any member of
-    :data:`repro.core.pdp.PROXIMITY_METRICS` works.
+    ``estimator`` defaults to the paper's PDP (max CIR tap power over
+    one stacked IFFT of the batch, :func:`~repro.core.pdp.estimate_pdp`);
+    any member of :data:`repro.core.pdp.PROXIMITY_METRICS` works.
     """
     batch = sim.measure_batch(tx, rx, packets, rng)
     return estimator(batch)

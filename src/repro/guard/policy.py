@@ -327,7 +327,7 @@ class GuardedSystem:
         """
         from ..core.pdp import (
             InvalidMeasurementError,
-            estimate_pdp_batch,
+            estimate_pdp,
             estimate_pdp_skip_invalid,
         )
 
@@ -337,7 +337,7 @@ class GuardedSystem:
         for record in records:
             pdp = None
             try:
-                pdp = record.estimate(estimate_pdp_batch)
+                pdp = record.estimate(estimate_pdp)
             except InvalidMeasurementError:
                 try:
                     pdp = record.estimate(estimate_pdp_skip_invalid)

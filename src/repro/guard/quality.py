@@ -24,11 +24,12 @@ and can only be tripped *by* corruption, the score is monotone —
 corrupting more packets never raises it (property-tested in
 ``tests/guard``).
 
-Bit-exactness contract: on a batch with nothing flagged the verdict's
-``pdp`` accumulates the same row maxima in the same order as
-:func:`~repro.core.pdp.estimate_pdp_batch` and applies the gains in the
-same order as the ungated path, so gating a clean pipeline changes no
-bits (enforced by ``benchmarks/bench_guard.py``).
+Bit-exactness contract: the verdict's ``pdp`` averages the kept row
+maxima with :func:`~repro.core.pdp.packet_mean`, the accumulation
+:func:`~repro.core.pdp.estimate_pdp` uses, and applies the gains in the
+same order as the ungated path, so on a batch with nothing flagged
+gating a clean pipeline changes no bits (enforced by
+``benchmarks/bench_guard.py``).
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..channel.cir import tap_powers_batch
+from ..core.pdp import packet_mean
 from ..core.system import LinkRecord
 from .sanity import inspect_batch
 
@@ -252,11 +254,7 @@ def assess_link(
         reasons.append("quality-below-floor")
         return _rejected(record, reasons, clean, expected, quality)
 
-    energy_total = 0.0
-    for row, keep in zip(rows, usable):
-        if keep:
-            energy_total += float(row.sum())
-    energy = energy_total / clean
+    energy = packet_mean(rows.sum(axis=1), usable)
     energy *= record.device_gain
     energy *= record.antenna_gain
 
@@ -282,14 +280,10 @@ def assess_link(
             energy,
         )
 
-    # Same sequential accumulation as estimate_pdp_batch, same gain
-    # multiply order as LinkRecord.estimate: nothing flagged => no bit
-    # differs from the ungated path.
-    total = 0.0
-    for value, keep in zip(maxima, usable):
-        if keep:
-            total += float(value)
-    pdp = total / clean
+    # Same accumulation as estimate_pdp, same gain multiply order as
+    # LinkRecord.estimate: nothing flagged => no bit differs from the
+    # ungated path.
+    pdp = packet_mean(maxima, usable)
     pdp *= record.device_gain
     pdp *= record.antenna_gain
     if not reasons and quality == 1.0:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..channel import LinkSimulator
-from ..core import Anchor, NomLocLocalizer, estimate_pdp_batch
+from ..core import Anchor, NomLocLocalizer, estimate_pdp
 from ..geometry import Point
 from ..mobility import MarkovMobilityModel, PositionErrorModel
 from .messages import CSIReport, LocationFix, ProbePacket
@@ -348,9 +348,8 @@ class ServerNode:
                 if not group:
                     continue
             measurements = [m for r in group for m in r.measurements]
-            # Batched PDP: one stacked IFFT per aggregated group,
-            # bit-identical to the per-measurement reference estimator.
-            pdp = estimate_pdp_batch(measurements)
+            # One stacked IFFT per aggregated group.
+            pdp = estimate_pdp(measurements)
             # Latest reported position wins (positions of one nomadic site
             # may differ across reports only through the error model).
             position = group[-1].reported_position

@@ -1,7 +1,8 @@
-"""Vectorized ``synthesize_batch`` vs the scalar reference path.
+"""Vectorized ``synthesize_batch`` vs the per-packet oracle.
 
-The fast path's contract is *bit-exactness*: same RNG draw order, same
-floats, for every synthesizer configuration — fading on/off, noise
+The synthesizer's contract is *bit-exactness* against the per-packet,
+per-path loop of ``tests/oracles.py``: same RNG draw order, same floats,
+for every synthesizer configuration — fading on/off, noise
 on/off/bursty, RSSI jitter and quantization on/off.
 """
 
@@ -18,6 +19,7 @@ from repro.channel import (
     PathKind,
 )
 from repro.channel.csi import _intel5300_subsampling
+from tests.oracles import synthesize, synthesize_batch_scalar
 
 
 def _paths(count: int = 4, blocked_direct: bool = False):
@@ -59,8 +61,8 @@ class TestSynthesizeBatchBitExactness:
         paths = _paths()
         rng_scalar = np.random.default_rng(1234)
         rng_vector = np.random.default_rng(1234)
-        scalar = synth.synthesize_batch_scalar(
-            paths, 17, rng_scalar, with_fading=with_fading
+        scalar = synthesize_batch_scalar(
+            synth, paths, 17, rng_scalar, with_fading=with_fading
         )
         vector = synth.synthesize_batch(
             paths, 17, rng_vector, with_fading=with_fading
@@ -76,9 +78,7 @@ class TestSynthesizeBatchBitExactness:
     def test_blocked_direct_path(self):
         synth = CSISynthesizer()
         paths = _paths(blocked_direct=True)
-        scalar = synth.synthesize_batch_scalar(
-            paths, 9, np.random.default_rng(7)
-        )
+        scalar = synthesize_batch_scalar(synth, paths, 9, np.random.default_rng(7))
         vector = synth.synthesize_batch(paths, 9, np.random.default_rng(7))
         for s, v in zip(scalar, vector):
             assert np.array_equal(s.csi, v.csi)
@@ -87,10 +87,10 @@ class TestSynthesizeBatchBitExactness:
     def test_single_path_single_packet(self):
         synth = CSISynthesizer()
         paths = _paths(count=1)
-        scalar = synth.synthesize(paths, np.random.default_rng(3))
-        [vector] = synth.synthesize_batch(paths, 1, np.random.default_rng(3))
-        assert np.array_equal(scalar.csi, vector.csi)
-        assert scalar.rssi_dbm == vector.rssi_dbm
+        scalar = synthesize(synth, paths, np.random.default_rng(3))
+        single = synth.synthesize(paths, np.random.default_rng(3))
+        assert np.array_equal(scalar.csi, single.csi)
+        assert scalar.rssi_dbm == single.rssi_dbm
 
 
 @st.composite
@@ -127,8 +127,8 @@ class TestSynthesizeBatchProperty:
         synth = SYNTHESIZERS[name]
         rng_scalar = np.random.default_rng(seed)
         rng_vector = np.random.default_rng(seed)
-        scalar = synth.synthesize_batch_scalar(
-            paths, packets, rng_scalar, with_fading=with_fading
+        scalar = synthesize_batch_scalar(
+            synth, paths, packets, rng_scalar, with_fading=with_fading
         )
         vector = synth.synthesize_batch(
             paths, packets, rng_vector, with_fading=with_fading

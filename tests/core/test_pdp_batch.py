@@ -1,9 +1,10 @@
-"""Batched PDP estimators vs their scalar references.
+"""Stacked PDP estimators vs the per-packet oracles of ``tests/oracles.py``.
 
-The batched estimators back the anchor-building fast path and the
-``PROXIMITY_METRICS`` registry, so they must reproduce the scalar loops
-bit-for-bit — including on batches that cannot be stacked (mixed OFDM
-configs), where they fall back to the reference path.
+The estimators back the anchor-building path and the
+``PROXIMITY_METRICS`` registry with one stacked IFFT per link, so they
+must reproduce the per-packet loops bit for bit.  Batches that cannot
+be stacked (mixed OFDM configs) and batches carrying non-finite CSI are
+refused with typed errors rather than averaged.
 """
 
 import numpy as np
@@ -11,18 +12,21 @@ import pytest
 
 from repro.channel import (
     SPEED_OF_LIGHT,
+    CSIMeasurement,
     CSISynthesizer,
     OFDMConfig,
     PathComponent,
     PathKind,
 )
 from repro.core.pdp import (
+    PROXIMITY_METRICS,
+    InvalidMeasurementError,
     estimate_first_tap,
-    estimate_first_tap_batch,
     estimate_pdp,
-    estimate_pdp_batch,
     estimate_pdp_median,
+    estimate_pdp_skip_invalid,
 )
+from tests import oracles
 
 
 def _paths():
@@ -50,28 +54,26 @@ def _measurements(packets=20, seed=9, **synth_overrides):
 class TestBatchEstimatorsBitExact:
     def test_pdp(self):
         ms = _measurements()
-        assert estimate_pdp_batch(ms) == estimate_pdp(ms)
+        assert estimate_pdp(ms) == oracles.estimate_pdp(ms)
 
     def test_first_tap(self):
         ms = _measurements()
-        assert estimate_first_tap_batch(ms) == estimate_first_tap(ms)
+        assert estimate_first_tap(ms) == oracles.estimate_first_tap(ms)
 
     def test_pdp_median(self):
-        from repro.channel import delay_profile
-
         ms = _measurements(packets=21)
         reference = float(
-            np.median([delay_profile(m).max_power() for m in ms])
+            np.median([oracles.delay_profile(m).max_power() for m in ms])
         )
         assert estimate_pdp_median(ms) == reference
 
     def test_single_measurement(self):
         ms = _measurements(packets=1)
-        assert estimate_pdp_batch(ms) == estimate_pdp(ms)
+        assert estimate_pdp(ms) == oracles.estimate_pdp(ms)
 
     def test_accepts_generators(self):
         ms = _measurements()
-        assert estimate_pdp_batch(iter(ms)) == estimate_pdp(ms)
+        assert estimate_pdp(iter(ms)) == oracles.estimate_pdp(ms)
 
 
 def _mixed_batch(packets=3):
@@ -82,29 +84,42 @@ def _mixed_batch(packets=3):
     return narrow + wide
 
 
-class TestMixedConfigFallback:
-    def test_pdp_falls_back_to_scalar(self):
-        ms = _mixed_batch()
-        assert estimate_pdp_batch(ms) == estimate_pdp(ms)
+class TestMixedConfigRejected:
+    @pytest.mark.parametrize(
+        "estimator",
+        [
+            estimate_pdp,
+            estimate_first_tap,
+            estimate_pdp_median,
+            estimate_pdp_skip_invalid,
+        ],
+    )
+    def test_stacked_estimators_raise(self, estimator):
+        with pytest.raises(ValueError, match="share one OFDM config"):
+            estimator(_mixed_batch())
 
-    def test_first_tap_falls_back_to_scalar(self):
-        ms = _mixed_batch()
-        assert estimate_first_tap_batch(ms) == estimate_first_tap(ms)
 
-    def test_median_falls_back_to_scalar(self):
-        from repro.channel import delay_profile
+def _with_bad_packet(ms, value, index=2):
+    csi = ms[index].csi.copy()
+    csi[5] = value
+    bad = CSIMeasurement(csi, ms[index].config, ms[index].rssi_dbm)
+    return ms[:index] + [bad] + ms[index + 1 :]
 
-        ms = _mixed_batch()
-        reference = float(
-            np.median([delay_profile(m).max_power() for m in ms])
-        )
-        assert estimate_pdp_median(ms) == reference
+
+class TestNonFiniteCSI:
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("value", [complex(np.nan, np.nan), np.inf])
+    @pytest.mark.parametrize("metric", sorted(PROXIMITY_METRICS))
+    def test_every_metric_raises_typed_error(self, metric, value):
+        ms = _with_bad_packet(_measurements(packets=6), value)
+        with pytest.raises(InvalidMeasurementError, match="packet 2"):
+            PROXIMITY_METRICS[metric](ms)
 
 
 class TestBatchEstimatorEmptyGuards:
     @pytest.mark.parametrize(
         "estimator",
-        [estimate_pdp_batch, estimate_first_tap_batch, estimate_pdp_median],
+        [estimate_pdp, estimate_first_tap, estimate_pdp_median],
     )
     def test_empty_batch_rejected(self, estimator):
         with pytest.raises(ValueError, match="at least one CSI measurement"):
@@ -118,16 +133,17 @@ class TestBatchExtraction:
         ms = _measurements(packets=6)
         batch = csi_to_cir_batch(ms)
         for row, m in zip(batch, ms):
-            assert np.array_equal(row, csi_to_cir(m))
+            assert np.array_equal(row, oracles.csi_to_cir(m))
+            assert np.array_equal(csi_to_cir(m), row)
 
     def test_delay_profile_batch_matches_scalar(self):
         from repro.channel import delay_profile, delay_profile_batch
 
         ms = _measurements(packets=6)
         for batched, m in zip(delay_profile_batch(ms), ms):
-            scalar = delay_profile(m)
-            assert np.array_equal(batched.delays_s, scalar.delays_s)
-            assert np.array_equal(batched.amplitudes, scalar.amplitudes)
+            for single in (oracles.delay_profile(m), delay_profile(m)):
+                assert np.array_equal(batched.delays_s, single.delays_s)
+                assert np.array_equal(batched.amplitudes, single.amplitudes)
 
     def test_delay_profile_batch_empty_is_empty(self):
         from repro.channel import delay_profile_batch

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.channel.csi import CSIMeasurement
-from repro.core import estimate_pdp_batch
+from repro.core import estimate_pdp
 from repro.core.pdp import confidence_factor
 from repro.guard import (
     GuardConfig,
@@ -63,7 +63,7 @@ class TestCleanVerdict:
     def test_pdp_bit_identical_to_ungated_estimator(self, lab_records):
         for record in lab_records:
             verdict = assess_link(record, PACKETS)
-            assert verdict.pdp == record.estimate(estimate_pdp_batch)
+            assert verdict.pdp == record.estimate(estimate_pdp)
 
 
 class TestDegradedVerdicts:
