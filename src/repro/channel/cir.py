@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..obs import span
-from .csi import CSIMeasurement
+from .csi import CSIMeasurement, OFDMConfig
 
 __all__ = [
     "DelayProfile",
@@ -23,6 +23,8 @@ __all__ = [
     "csi_to_cir_batch",
     "delay_profile",
     "delay_profile_batch",
+    "stack_csi",
+    "tap_powers",
     "tap_powers_batch",
 ]
 
@@ -78,10 +80,16 @@ class DelayProfile:
 # enforced in ``tests/core`` and the hotpath benchmark.
 # ----------------------------------------------------------------------
 
-def _stack_batch(
+def stack_csi(
     measurements: Iterable[CSIMeasurement],
-) -> tuple[list[CSIMeasurement], np.ndarray]:
-    """Validate a batch shares one OFDM config and stack its CSI rows."""
+) -> tuple[OFDMConfig, np.ndarray]:
+    """``(config, (packets, subcarriers) CSI matrix)`` of a batch.
+
+    Validates that the batch is non-empty and shares one OFDM config (a
+    mixed batch raises :class:`ValueError`).  Callers that must vet the
+    raw CSI before the IFFT (the PDP estimators refuse non-finite
+    packets) stack once here and pass the matrix to :func:`tap_powers`.
+    """
     ms = list(measurements)
     if not ms:
         raise ValueError("need at least one CSI measurement")
@@ -91,7 +99,19 @@ def _stack_batch(
             raise ValueError(
                 "all measurements in a batch must share one OFDM config"
             )
-    return ms, np.stack([m.csi for m in ms])
+    return cfg, np.stack([m.csi for m in ms])
+
+
+def _ifft_rows(cfg: OFDMConfig, csi: np.ndarray) -> np.ndarray:
+    """One inverse FFT over stacked CSI rows: ``n_fft`` taps per row."""
+    grid = np.zeros((len(csi), cfg.n_fft), dtype=complex)
+    cols = [idx % cfg.n_fft for idx in cfg.active_subcarriers]
+    grid[:, cols] = csi
+    # Scale so a flat channel of unit gain yields a unit first tap,
+    # independent of how many subcarriers were measured.
+    return np.fft.ifft(grid, axis=1) * (
+        cfg.n_fft / len(cfg.active_subcarriers)
+    )
 
 
 def csi_to_cir_batch(
@@ -105,16 +125,7 @@ def csi_to_cir_batch(
     packet, spaced ``1 / bandwidth`` apart.  All measurements must share
     one OFDM config; a mixed batch raises :class:`ValueError`.
     """
-    ms, matrix = _stack_batch(measurements)
-    cfg = ms[0].config
-    grid = np.zeros((len(ms), cfg.n_fft), dtype=complex)
-    cols = [idx % cfg.n_fft for idx in cfg.active_subcarriers]
-    grid[:, cols] = matrix
-    # Scale so a flat channel of unit gain yields a unit first tap,
-    # independent of how many subcarriers were measured.
-    return np.fft.ifft(grid, axis=1) * (
-        cfg.n_fft / len(cfg.active_subcarriers)
-    )
+    return _ifft_rows(*stack_csi(measurements))
 
 
 def csi_to_cir(measurement: CSIMeasurement) -> np.ndarray:
@@ -122,16 +133,19 @@ def csi_to_cir(measurement: CSIMeasurement) -> np.ndarray:
     return csi_to_cir_batch([measurement])[0]
 
 
+def tap_powers(cfg: OFDMConfig, csi: np.ndarray) -> np.ndarray:
+    """Per-tap powers ``|h[n]|^2`` of stacked CSI rows (see
+    :func:`stack_csi`), as a ``(packets, n_fft)`` matrix."""
+    with span("cir.delay_profile", taps=cfg.n_fft, batch=len(csi)):
+        return np.abs(_ifft_rows(cfg, csi)) ** 2
+
+
 def tap_powers_batch(
     measurements: Sequence[CSIMeasurement],
 ) -> np.ndarray:
-    """Per-tap powers ``|h[n]|^2`` of a batch, as a ``(packets, n_fft)``
-    matrix — the input of the PDP estimators."""
-    ms = list(measurements)
-    if not ms:
-        raise ValueError("need at least one CSI measurement")
-    with span("cir.delay_profile", taps=ms[0].config.n_fft, batch=len(ms)):
-        return np.abs(csi_to_cir_batch(ms)) ** 2
+    """:func:`tap_powers` of a measurement batch — the input of the PDP
+    estimators."""
+    return tap_powers(*stack_csi(measurements))
 
 
 def delay_profile_batch(

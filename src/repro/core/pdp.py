@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..channel.cir import tap_powers_batch
+from ..channel.cir import stack_csi, tap_powers
 from ..channel.csi import CSIMeasurement
 
 __all__ = [
@@ -152,13 +152,15 @@ def _finite_tap_powers(
     """``(tap powers, per-packet max tap power)`` of a finite batch.
 
     One stacked IFFT over the batch (a batch mixing OFDM configs raises
-    :class:`ValueError`).  Any NaN/Inf in a packet's CSI reaches its
-    row maximum, so checking the maxima vets every tap.
+    :class:`ValueError`).  The CSI rows are vetted before the IFFT, so a
+    NaN/Inf packet raises :class:`InvalidMeasurementError` without the
+    transform ever seeing it (an infinite subcarrier would otherwise
+    make NumPy warn about invalid values).
     """
-    rows = tap_powers_batch(measurements)
-    maxima = rows.max(axis=1)
-    _require_finite(np.isfinite(maxima))
-    return rows, maxima
+    cfg, csi = stack_csi(measurements)
+    _require_finite(np.isfinite(csi).all(axis=1))
+    rows = tap_powers(cfg, csi)
+    return rows, rows.max(axis=1)
 
 
 def estimate_pdp(measurements: Iterable[CSIMeasurement]) -> float:
@@ -215,10 +217,10 @@ def estimate_pdp_skip_invalid(
 ) -> float:
     """PDP estimate tolerating non-finite packets: skip, then average.
 
-    The guard layer's estimator: packets whose tap powers are NaN/Inf
-    (firmware glitches, interference bursts) are dropped and the mean is
-    taken over the finite remainder with :func:`packet_mean`, so with
-    zero invalid packets the result is bit-identical to
+    The guard layer's estimator: packets whose CSI is NaN/Inf (firmware
+    glitches, interference bursts) are dropped before the IFFT and the
+    mean is taken over the finite remainder with :func:`packet_mean`, so
+    with zero invalid packets the result is bit-identical to
     :func:`estimate_pdp`.
 
     Raises
@@ -229,13 +231,15 @@ def estimate_pdp_skip_invalid(
         When *every* packet is invalid — there is no salvageable signal
         and the link must be rejected, not averaged.
     """
-    maxima = tap_powers_batch(measurements).max(axis=1)
-    finite = np.isfinite(maxima)
+    cfg, csi = stack_csi(measurements)
+    finite = np.isfinite(csi).all(axis=1)
     if not finite.any():
         raise InvalidMeasurementError(
             "every packet in the batch is non-finite; link must be rejected"
         )
-    return packet_mean(maxima, finite)
+    # Rows transform independently, so dropping the non-finite packets
+    # before the IFFT leaves the finite rows' bits unchanged.
+    return packet_mean(tap_powers(cfg, csi[finite]).max(axis=1))
 
 
 def estimate_pdp_median(measurements: Iterable[CSIMeasurement]) -> float:

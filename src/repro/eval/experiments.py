@@ -42,7 +42,7 @@ from ..mobility import (
     SweepPattern,
 )
 from .metrics import ErrorCDF, ErrorStats
-from .runner import run_campaign
+from .runner import CampaignResult, run_campaign
 
 __all__ = [
     "ExperimentConfig",
@@ -246,33 +246,32 @@ def fig8_slv(
     slv_out: dict[str, dict[str, float]] = {}
     stats_out: dict[str, dict[str, ErrorStats]] = {}
     for name in scenario_names:
-        scenario = get_scenario(name)
-        nomadic = NomLocSystem(scenario, config.system_config())
-        static = NomLocSystem(
-            scenario, config.system_config(use_nomadic=False)
-        )
-        nom_res = run_campaign(
-            nomadic,
-            scenario.test_sites,
-            config.repetitions,
-            config.seed,
-            f"{name}-nomadic",
-            workers=config.workers,
-        )
-        sta_res = run_campaign(
-            static,
-            scenario.test_sites,
-            config.repetitions,
-            config.seed,
-            f"{name}-static",
-            workers=config.workers,
-        )
-        slv_out[name] = {
-            "static": sta_res.stats.slv,
-            "nomadic": nom_res.stats.slv,
-        }
-        stats_out[name] = {"static": sta_res.stats, "nomadic": nom_res.stats}
+        runs = _static_vs_nomadic(name, config)
+        slv_out[name] = {arm: run.stats.slv for arm, run in runs.items()}
+        stats_out[name] = {arm: run.stats for arm, run in runs.items()}
     return Fig8Result(slv_out, stats_out)
+
+
+def _static_vs_nomadic(
+    scenario_name: str, config: ExperimentConfig
+) -> dict[str, CampaignResult]:
+    """The Fig. 8/9 campaign pair: the scenario's test sites localized
+    without and with the nomadic AP, keyed ``"static"`` / ``"nomadic"``."""
+    scenario = get_scenario(scenario_name)
+    return {
+        arm: run_campaign(
+            NomLocSystem(
+                scenario,
+                config.system_config(use_nomadic=arm == "nomadic"),
+            ),
+            scenario.test_sites,
+            config.repetitions,
+            config.seed,
+            f"{scenario_name}-{arm}",
+            workers=config.workers,
+        )
+        for arm in ("static", "nomadic")
+    }
 
 
 # ----------------------------------------------------------------------
@@ -292,24 +291,8 @@ def fig9_error_cdf(
     scenario_name: str, config: ExperimentConfig = DEFAULT
 ) -> Fig9Result:
     """Reproduce Fig. 9: CDF of per-site mean error, static vs nomadic."""
-    scenario = get_scenario(scenario_name)
-    nomadic = NomLocSystem(scenario, config.system_config())
-    static = NomLocSystem(scenario, config.system_config(use_nomadic=False))
-    nom = run_campaign(
-        nomadic,
-        scenario.test_sites,
-        config.repetitions,
-        config.seed,
-        workers=config.workers,
-    )
-    sta = run_campaign(
-        static,
-        scenario.test_sites,
-        config.repetitions,
-        config.seed,
-        workers=config.workers,
-    )
-    return Fig9Result(scenario_name, sta.cdf, nom.cdf)
+    runs = _static_vs_nomadic(scenario_name, config)
+    return Fig9Result(scenario_name, runs["static"].cdf, runs["nomadic"].cdf)
 
 
 # ----------------------------------------------------------------------

@@ -107,13 +107,27 @@ def _with_bad_packet(ms, value, index=2):
 
 
 class TestNonFiniteCSI:
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("value", [complex(np.nan, np.nan), np.inf])
     @pytest.mark.parametrize("metric", sorted(PROXIMITY_METRICS))
     def test_every_metric_raises_typed_error(self, metric, value):
         ms = _with_bad_packet(_measurements(packets=6), value)
         with pytest.raises(InvalidMeasurementError, match="packet 2"):
             PROXIMITY_METRICS[metric](ms)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", [complex(np.nan, np.nan), np.inf])
+    def test_skip_invalid_drops_the_packet(self, value):
+        ms = _measurements(packets=6)
+        bad = _with_bad_packet(ms, value)
+        assert estimate_pdp_skip_invalid(bad) == estimate_pdp(ms[:2] + ms[3:])
+
+    def test_skip_invalid_rejects_all_bad(self):
+        ms = _measurements(packets=2)
+        for index in range(2):
+            ms = _with_bad_packet(ms, complex(np.nan, np.nan), index)
+        with pytest.raises(InvalidMeasurementError, match="every packet"):
+            estimate_pdp_skip_invalid(ms)
 
 
 class TestBatchEstimatorEmptyGuards:
