@@ -14,9 +14,12 @@ import math
 import threading
 import time
 from collections import deque
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from ..obs import percentile
+
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
+    from .service import LocalizationRequest, LocalizationResponse
 
 __all__ = ["LatencyReservoir", "ServiceMetrics", "json_safe", "percentile"]
 
@@ -99,8 +102,8 @@ LocalizationService`):
 
     * :meth:`record_admitted` / :meth:`record_rejected` — admission;
     * :meth:`record_queue_wait` — admission-to-worker-pickup delay;
-    * :meth:`record_completed` — query finished (possibly degraded);
-    * :meth:`record_cache` — topology-cache hit/miss per query.
+    * :meth:`record_response` — query answered (possibly degraded): its
+      cache lookup, latency, outcome and gating tallies.
     """
 
     def __init__(self, latency_window: int = 2048) -> None:
@@ -140,43 +143,35 @@ LocalizationService`):
         with self._lock:
             self._queue_waits.observe(wait_s)
 
-    def record_gating(self, degraded: int, rejected: int) -> None:
-        """One gated query's link tallies from the guard layer.
+    def record_response(
+        self,
+        request: "LocalizationRequest",
+        response: "LocalizationResponse",
+    ) -> None:
+        """One served query, whichever path answered it.
 
-        ``degraded`` links were kept with scaled weights; ``rejected``
-        links were dropped before the LP (see :mod:`repro.guard`).
-        Only queries carrying a gate result report here — ungated
-        traffic leaves both counters untouched.
+        Counts the topology-cache lookup, the completion and its latency,
+        and the degraded outcome; timeout and LP failure are read from
+        ``response.reason``.  A gated request (``request.gate`` set)
+        also adds its link tallies from the guard layer: ``degraded``
+        links were kept with scaled weights, ``rejected`` links were
+        dropped before the LP (see :mod:`repro.guard`).  A query that
+        raised instead of answering is not recorded.
         """
+        gate = request.gate
         with self._lock:
-            self.degraded_links_total += int(degraded)
-            self.rejected_links_total += int(rejected)
-
-    def record_cache(self, hit: bool) -> None:
-        """One topology-cache lookup outcome."""
-        with self._lock:
-            if hit:
+            if response.cache_hit:
                 self.cache_hits += 1
             else:
                 self.cache_misses += 1
-
-    def record_completed(
-        self,
-        latency_s: float,
-        degraded: bool = False,
-        timed_out: bool = False,
-        lp_failed: bool = False,
-    ) -> None:
-        """One query finished (normally or via the degraded path)."""
-        with self._lock:
+            if gate is not None:
+                self.degraded_links_total += len(gate.degraded)
+                self.rejected_links_total += len(gate.rejected)
             self.completed += 1
-            self._latencies.observe(latency_s)
-            if degraded:
-                self.degraded += 1
-            if timed_out:
-                self.timeouts += 1
-            if lp_failed:
-                self.lp_failures += 1
+            self._latencies.observe(response.latency_s)
+            self.degraded += response.degraded
+            self.timeouts += response.reason == "timeout"
+            self.lp_failures += response.reason == "lp-failure"
 
     def snapshot(self, queue_depth: int = 0, queue_rejected: int = 0) -> dict:
         """Point-in-time view of the service as a plain dict.

@@ -19,20 +19,19 @@ of rebuilt:
   built for a different venue or config (a later pool replaced the
   global before this pool's first fork) is rebuilt the same way.
 
-Bit-exactness contract: a worker answers a request with the exact
-inline reference pipeline (``max_workers=0``), so responses are
-bit-identical to the caller running
-:meth:`LocalizationService.locate_request` itself; only queue/latency
-metadata differs.  Chunked submissions run the worker's *batched* LP
-path, which is itself bit-identical to sequential (see
-:mod:`repro.optimize.batched`).
+One entry point, :meth:`ProcessPool.submit`, ships a chunk of requests
+(a single request is a chunk of one); the worker serves it with the
+inline reference pipeline (``max_workers=0``),
+:meth:`LocalizationService._handle_batch`, which picks the scalar or
+the stacked-LP solve from the chunk.  Responses are therefore
+bit-identical to inline serving; only queue/latency metadata differs.
 
 Tracing crosses the process boundary the way campaign workers do (see
 :mod:`repro.eval.runner`): when the parent tracer is on at submit time,
 the worker traces into a private :func:`~repro.obs.capture` and ships
 ``to_dict`` records back, which the parent adopts
 (:meth:`~repro.obs.Tracer.adopt`) under the submitting thread's active
-span.  Untraced submissions take the plain entry points.
+span.  Untraced submissions take the plain entry point.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from __future__ import annotations
 import multiprocessing
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import replace
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ..core import LocalizerConfig
 from ..obs import capture, disable, get_tracer
@@ -105,25 +104,21 @@ def _init_worker(
         _WORKER_SERVICE = _build_template(area, localizer_config, config)
 
 
-def _handle_in_worker(request: "LocalizationRequest") -> "LocalizationResponse":
-    """Worker entry point: one request through the inline pipeline."""
-    assert _WORKER_SERVICE is not None, "worker initializer did not run"
-    return _WORKER_SERVICE._handle(request)
-
-
-def _handle_chunk_in_worker(
+def _handle_batch(
     requests: Sequence["LocalizationRequest"],
 ) -> list["LocalizationResponse"]:
-    """Worker entry point: one micro-batch through the stacked-LP path."""
+    """Worker entry point: one chunk through the service's batch path."""
     assert _WORKER_SERVICE is not None, "worker initializer did not run"
     return _WORKER_SERVICE._handle_batch(list(requests))
 
 
-def _traced(entry: Callable, payload) -> tuple[object, list[dict]]:
-    """Run a worker entry point under a private tracer; ship its spans."""
+def _traced(
+    requests: Sequence["LocalizationRequest"],
+) -> tuple[list["LocalizationResponse"], list[dict]]:
+    """:func:`_handle_batch` under a private tracer; ship its spans."""
     with capture() as tracer:
-        result = entry(payload)
-    return result, [sp.to_dict() for sp in tracer.finished()]
+        responses = _handle_batch(requests)
+    return responses, [sp.to_dict() for sp in tracer.finished()]
 
 
 class ProcessPool:
@@ -164,28 +159,21 @@ class ProcessPool:
             initargs=(area, localizer_config, template_config),
         )
 
-    def submit_request(
-        self, request: "LocalizationRequest"
-    ) -> "Future[LocalizationResponse]":
-        """Schedule one request on a worker process."""
-        return self._submit(_handle_in_worker, request)
-
-    def submit_chunk(
+    def submit(
         self, requests: Sequence["LocalizationRequest"]
     ) -> "Future[list[LocalizationResponse]]":
-        """Schedule a micro-batch; the worker runs the stacked-LP path."""
-        return self._submit(_handle_chunk_in_worker, list(requests))
+        """Schedule one chunk on a worker; traced when the parent is.
 
-    def _submit(self, entry: Callable, payload) -> Future:
-        """Submit ``entry(payload)``; traced when the parent is tracing.
-
-        The traced future resolves only after the worker's spans were
-        adopted under the span active on the submitting thread, so a
-        caller reading the tracer after ``result()`` sees them.
+        The worker serves the chunk the way the inline service does
+        (:meth:`LocalizationService._handle_batch`).  The traced future
+        resolves only after the worker's spans were adopted under the
+        span active on the submitting thread, so a caller reading the
+        tracer after ``result()`` sees them.
         """
+        requests = list(requests)
         tracer = get_tracer()
         if tracer is None:
-            return self._executor.submit(entry, payload)
+            return self._executor.submit(_handle_batch, requests)
         parent = tracer.current()
         parent_id = parent.span_id if parent is not None else None
         adopted: Future = Future()
@@ -199,7 +187,7 @@ class ProcessPool:
             tracer.adopt(records, parent_id=parent_id)
             adopted.set_result(result)
 
-        self._executor.submit(_traced, entry, payload).add_done_callback(_adopt)
+        self._executor.submit(_traced, requests).add_done_callback(_adopt)
         return adopted
 
     def shutdown(self) -> None:

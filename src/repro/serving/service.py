@@ -9,17 +9,21 @@ whole constraint system per call:
   boundary/virtual-AP rows) comes from an LRU
   :class:`~repro.serving.cache.LocalizerCache`, so only the
   PDP-dependent pairwise rows are rebuilt per query;
-* queries run inline on the caller's thread (``max_workers=0``, the
-  reference path) or on a
-  :class:`~repro.serving.procpool.ProcessPool`
-  (``max_workers >= 1``) — results are bit-identical either way;
+* every admitted request travels one path: it joins a chunk (a
+  single request is a chunk of one), which runs inline on the caller's
+  thread (``max_workers=0``, the reference path) or on a
+  :class:`~repro.serving.procpool.ProcessPool` (``max_workers >= 1``);
+  the chunk's size picks the scalar or the stacked-LP solve, and
+  results are bit-identical either way;
 * a bounded :class:`~repro.serving.queueing.AdmissionQueue` sheds load
   instead of buffering it, a cooperative per-query deadline bounds tail
   latency, and LP failures or timeouts degrade gracefully to the
   PDP-weighted-centroid baseline with the degraded path flagged in the
   response;
 * :class:`~repro.serving.metrics.ServiceMetrics` tracks latency
-  percentiles, throughput, cache hit rates, queue depth and fallbacks.
+  percentiles, throughput, cache hit rates, queue depth and fallbacks;
+  every answered query is recorded by one
+  :meth:`~repro.serving.metrics.ServiceMetrics.record_response` call.
 """
 
 from __future__ import annotations
@@ -68,6 +72,20 @@ def _resolved(fn, *args) -> Future:
     return future
 
 
+def _first(future: Future) -> Future:
+    """A future of the first item of ``future``'s list result."""
+    first: Future = Future()
+
+    def _done(f: Future) -> None:
+        try:
+            first.set_result(f.result()[0])
+        except BaseException as exc:  # noqa: BLE001 — future carries it
+            first.set_exception(exc)
+
+    future.add_done_callback(_done)
+    return first
+
+
 def weighted_centroid(anchors: Sequence[Anchor]) -> Point:
     """PDP-weighted centroid of an anchor set (degradation estimator).
 
@@ -106,12 +124,13 @@ class ServingConfig:
         :meth:`locate` always runs inline.  Results stay bit-identical
         either way.
     lp_batch:
-        Micro-batch size for :meth:`batch`: groups of up to this many
-        queries are solved through the stacked-LP path
-        (:meth:`~repro.core.NomLocLocalizer.locate_batch`), advancing N
-        queries per NumPy pass instead of one per Python pivot loop.
-        ``0``/``1`` disables batching.  Composes with ``max_workers``:
-        each worker process solves whole chunks.
+        Chunk size for :meth:`batch`, and nothing else: requests are
+        cut into chunks of ``max(1, lp_batch)``, each served inline or
+        by one worker process.  The chunk picks the solve path: several
+        requests advance together through the stacked-LP path
+        (:meth:`~repro.core.NomLocLocalizer.locate_batch`), one NumPy
+        pass for N queries; a chunk of one (every request at ``0``/``1``,
+        or a short tail) runs the scalar pipeline.
     queue_capacity:
         In-flight request bound; non-blocking submissions beyond it are
         rejected with :class:`~repro.serving.queueing.QueueFullError`.
@@ -388,15 +407,7 @@ class LocalizationService:
             flight — the caller should shed or retry later
             (backpressure).
         """
-        self._check_open()
-        request = self._coerce(request)
-        try:
-            self.queue.try_acquire()
-        except QueueFullError:
-            self.metrics.record_rejected()
-            raise
-        self.metrics.record_admitted()
-        return self._dispatch(request, time.perf_counter())
+        return _first(self._dispatch([self._admit(request, block=False)]))
 
     def batch(
         self, requests: Iterable[LocalizationRequest | Sequence[Anchor]]
@@ -404,49 +415,23 @@ class LocalizationService:
         """Serve a batch, blocking for admission; responses in input order.
 
         Unlike :meth:`submit`, a full queue here *waits* for a slot
-        instead of rejecting — a batch caller wants all answers.  With
-        :attr:`ServingConfig.lp_batch` set, consecutive requests are
-        grouped into micro-batches that each worker solves through the
-        stacked-LP path — positions stay bit-identical to per-request
-        serving.
+        instead of rejecting — a batch caller wants all answers.
+        Consecutive requests are cut into chunks of
+        ``max(1, lp_batch)`` and each chunk is served inline or by one
+        worker process; a chunk of several requests solves through the
+        stacked-LP path, a chunk of one through the scalar path.
+        Positions are bit-identical to per-request serving either way.
         """
-        chunk_size = self.config.lp_batch
-        if chunk_size > 1:
-            return self._batch_chunked(requests, chunk_size)
-        futures = []
-        for request in requests:
-            self._check_open()
-            request = self._coerce(request)
-            self.queue.acquire()
-            self.metrics.record_admitted()
-            futures.append(self._dispatch(request, time.perf_counter()))
-        return [f.result() for f in futures]
-
-    def _batch_chunked(
-        self,
-        requests: Iterable[LocalizationRequest | Sequence[Anchor]],
-        chunk_size: int,
-    ) -> list[LocalizationResponse]:
-        """Micro-batched :meth:`batch`: chunks of requests per worker."""
+        chunk_size = max(1, self.config.lp_batch)
         futures = []
         chunk: list[LocalizationRequest] = []
-
-        def flush() -> None:
-            if chunk:
-                futures.append(
-                    self._dispatch_chunk(list(chunk), time.perf_counter())
-                )
-                chunk.clear()
-
         for request in requests:
-            self._check_open()
-            request = self._coerce(request)
-            self.queue.acquire()
-            self.metrics.record_admitted()
-            chunk.append(request)
-            if len(chunk) >= chunk_size:
-                flush()
-        flush()
+            chunk.append(self._admit(request))
+            if len(chunk) == chunk_size:
+                futures.append(self._dispatch(chunk))
+                chunk = []
+        if chunk:
+            futures.append(self._dispatch(chunk))
         return [response for f in futures for response in f.result()]
 
     def serve(
@@ -465,15 +450,11 @@ class LocalizationService:
             window = max(1, 2 * self.config.max_workers)
         pending: list = []
         for request in requests:
-            self._check_open()
-            request = self._coerce(request)
-            self.queue.acquire()
-            self.metrics.record_admitted()
-            pending.append(self._dispatch(request, time.perf_counter()))
+            pending.append(self._dispatch([self._admit(request)]))
             while len(pending) >= window:
-                yield pending.pop(0).result()
+                yield from pending.pop(0).result()
         while pending:
-            yield pending.pop(0).result()
+            yield from pending.pop(0).result()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -527,18 +508,28 @@ class LocalizationService:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _check_open(self) -> None:
-        """Refuse admissions once the service is draining/closed."""
+    def _admit(
+        self,
+        request: LocalizationRequest | Sequence[Anchor],
+        block: bool = True,
+    ) -> LocalizationRequest:
+        """Take a queue slot for one request (bare anchor sequences are
+        accepted): wait for it, or with ``block=False`` reject at
+        capacity.  Refused once the service is draining/closed."""
         if self._closed:
             raise ServiceClosedError("service is draining; admissions stopped")
-
-    def _coerce(
-        self, request: LocalizationRequest | Sequence[Anchor]
-    ) -> LocalizationRequest:
-        """Accept bare anchor sequences anywhere a request is expected."""
-        if isinstance(request, LocalizationRequest):
-            return request
-        return LocalizationRequest(tuple(request))
+        if not isinstance(request, LocalizationRequest):
+            request = LocalizationRequest(tuple(request))
+        if block:
+            self.queue.acquire()
+        else:
+            try:
+                self.queue.try_acquire()
+            except QueueFullError:
+                self.metrics.record_rejected()
+                raise
+        self.metrics.record_admitted()
+        return request
 
     def _localizer_for(self, area: Polygon) -> tuple[NomLocLocalizer, bool]:
         """``(localizer, cache_hit)`` for one venue topology."""
@@ -546,24 +537,13 @@ class LocalizationService:
             return self.topology_cache.get(area, self.localizer_config)
         return NomLocLocalizer(area, self.localizer_config).warm(), False
 
-    def _dispatch(self, request: LocalizationRequest, admitted_at: float):
-        """Run one admitted request inline or on a worker process."""
+    def _dispatch(self, chunk: list[LocalizationRequest]):
+        """Run one admitted chunk inline or on a worker process; the
+        returned future resolves to its responses in chunk order."""
+        admitted_at = time.perf_counter()
         if self.proc_pool is not None:
             return self._wrap_process_future(
-                self.proc_pool.submit_request(request),
-                [request],
-                admitted_at,
-                unwrap_single=True,
-            )
-        return _resolved(self._handle_and_release, request, admitted_at)
-
-    def _dispatch_chunk(
-        self, chunk: list[LocalizationRequest], admitted_at: float
-    ):
-        """Run one admitted micro-batch inline or on a worker process."""
-        if self.proc_pool is not None:
-            return self._wrap_process_future(
-                self.proc_pool.submit_chunk(chunk), chunk, admitted_at
+                self.proc_pool.submit(chunk), chunk, admitted_at
             )
         return _resolved(self._handle_chunk_and_release, chunk, admitted_at)
 
@@ -572,16 +552,13 @@ class LocalizationService:
         raw,
         requests: list[LocalizationRequest],
         admitted_at: float,
-        unwrap_single: bool = False,
     ):
         """Account for process-worker results on the parent side.
 
         Worker processes record metrics into *their own* (discarded)
-        service instance, so the parent re-records each response's
-        observable outcome — queue wait, cache hit, completion, gating —
-        into its metrics, then frees the admission slots.  The returned
-        future resolves to the response (``unwrap_single``) or the
-        response list.
+        service instance, so the parent re-records each response —
+        queue wait and :meth:`~ServiceMetrics.record_response` — into
+        its metrics, then frees the admission slots.
         """
         wrapped: Future = Future()
 
@@ -593,8 +570,6 @@ class LocalizationService:
                     self.queue.release()
                 wrapped.set_exception(exc)
                 return
-            if unwrap_single:
-                responses = [responses]
             round_trip_s = max(0.0, time.perf_counter() - admitted_at)
             try:
                 for request, response in zip(requests, responses):
@@ -604,22 +579,11 @@ class LocalizationService:
                     self.metrics.record_queue_wait(
                         max(0.0, round_trip_s - response.latency_s)
                     )
-                    self.metrics.record_cache(response.cache_hit)
-                    if request.gate is not None:
-                        self.metrics.record_gating(
-                            len(request.gate.degraded),
-                            len(request.gate.rejected),
-                        )
-                    self.metrics.record_completed(
-                        response.latency_s,
-                        degraded=response.degraded,
-                        timed_out=response.reason == "timeout",
-                        lp_failed=response.reason == "lp-failure",
-                    )
+                    self.metrics.record_response(request, response)
             finally:
                 for _ in requests:
                     self.queue.release()
-            wrapped.set_result(responses[0] if unwrap_single else responses)
+            wrapped.set_result(responses)
 
         raw.add_done_callback(_done)
         return wrapped
@@ -629,33 +593,26 @@ class LocalizationService:
         chunk: list[LocalizationRequest],
         admitted_at: float,
     ) -> list[LocalizationResponse]:
-        """Inline entry point for a micro-batch: handle, free the slots."""
+        """Inline entry point: handle a chunk, then free its slots.
+
+        ``admitted_at`` is the admission timestamp; the gap to now is
+        the queue wait — the load component of latency, reported
+        separately from compute.
+        """
         queue_wait_s = max(0.0, time.perf_counter() - admitted_at)
         for _ in chunk:
             self.metrics.record_queue_wait(queue_wait_s)
         try:
-            return self._handle_batch(chunk)
+            return self._handle_batch(chunk, queue_wait_s)
         finally:
             for _ in chunk:
                 self.queue.release()
 
-    def _handle_and_release(
-        self,
-        request: LocalizationRequest,
-        admitted_at: float,
-    ) -> LocalizationResponse:
-        """Inline entry point: handle, then free the admission slot.
-
-        ``admitted_at`` is the admission timestamp; the gap to now is the
-        request's queue wait — the load component of its latency,
-        reported separately from compute.
-        """
-        queue_wait_s = time.perf_counter() - admitted_at
-        self.metrics.record_queue_wait(queue_wait_s)
-        try:
-            return self._handle(request, queue_wait_s=queue_wait_s)
-        finally:
-            self.queue.release()
+    def _timeout_for(self, request: LocalizationRequest) -> float | None:
+        """The request's deadline budget: its own, else the service's."""
+        if request.timeout_s is not None:
+            return request.timeout_s
+        return self.config.timeout_s
 
     def _handle(
         self,
@@ -671,19 +628,9 @@ class LocalizationService:
             started = time.perf_counter()
             area = request.area if request.area is not None else self.area
             localizer, cache_hit = self._localizer_for(area)
-            self.metrics.record_cache(cache_hit)
-            timeout = (
-                request.timeout_s
-                if request.timeout_s is not None
-                else self.config.timeout_s
-            )
+            timeout = self._timeout_for(request)
             deadline = started + timeout if timeout is not None else None
             gate = request.gate
-            if gate is not None:
-                self.metrics.record_gating(
-                    len(gate.degraded), len(gate.rejected)
-                )
-            timed_out = lp_failed = False
             estimate: LocationEstimate | None = None
             reason = ""
             try:
@@ -700,7 +647,6 @@ class LocalizationService:
                     raise TimeoutError(
                         f"query {request.query_id!r} exceeded {timeout}s"
                     ) from None
-                timed_out = True
                 reason = "timeout"
             except (RuntimeError, ArithmeticError):
                 # The relaxation LP "should not" fail (it is always
@@ -708,7 +654,6 @@ class LocalizationService:
                 # flagged coarse answer beats a 500.
                 if not self.config.degrade_on_failure:
                     raise
-                lp_failed = True
                 reason = "lp-failure"
             if estimate is not None:
                 if gate is not None:
@@ -718,24 +663,16 @@ class LocalizationService:
                         degradation_reasons=gate.reasons,
                     )
                 position = estimate.position
-                degraded = False
             else:
                 position = self._fallback_position(localizer, request.anchors)
-                degraded = True
             latency = time.perf_counter() - started
-            self.metrics.record_completed(
-                latency,
-                degraded=degraded,
-                timed_out=timed_out,
-                lp_failed=lp_failed,
-            )
             # The queue-wait vs compute split: ``queue_wait_s`` is load
             # (time spent admitted but unpicked), ``compute_s`` is work.
             sp.set(
                 queue_wait_s=queue_wait_s,
                 compute_s=latency,
                 cache_hit=cache_hit,
-                degraded=degraded,
+                degraded=estimate is None,
             )
             if gate is not None:
                 sp.set(
@@ -743,23 +680,29 @@ class LocalizationService:
                     degraded_links=len(gate.degraded),
                     rejected_links=len(gate.rejected),
                 )
-            return LocalizationResponse(
+            response = LocalizationResponse(
                 query_id=request.query_id,
                 position=position,
                 estimate=estimate,
-                degraded=degraded,
+                degraded=estimate is None,
                 reason=reason,
                 cache_hit=cache_hit,
                 latency_s=latency,
             )
+            self.metrics.record_response(request, response)
+            return response
 
     def _handle_batch(
-        self, requests: list[LocalizationRequest]
+        self,
+        requests: list[LocalizationRequest],
+        queue_wait_s: float = 0.0,
     ) -> list[LocalizationResponse]:
-        """Serve a micro-batch through the stacked-LP path.
+        """Serve one chunk; the input picks each request's solve path.
 
-        Requests carrying a deadline run the scalar cooperative-deadline
-        path; the rest are grouped by venue topology and solved with one
+        A chunk of one, and any request carrying a deadline, runs the
+        scalar :meth:`_handle` path (deadlines are checked between piece
+        solves, a boundary a stacked pass does not have).  The rest are
+        grouped by venue topology and solved with one
         :meth:`~repro.core.NomLocLocalizer.locate_batch` pass per group.
         Any group whose stacked solve fails falls back to per-request
         scalar handling, so one poisoned query degrades only itself —
@@ -770,16 +713,8 @@ class LocalizationService:
         groups: dict[int, list[int]] = {}
         localizers: dict[int, tuple[NomLocLocalizer, list[bool]]] = {}
         for i, request in enumerate(requests):
-            timeout = (
-                request.timeout_s
-                if request.timeout_s is not None
-                else self.config.timeout_s
-            )
-            if timeout is not None:
-                # Deadlines are enforced cooperatively *between* piece
-                # solves; a stacked pass has no such boundary, so these
-                # take the scalar path.
-                responses[i] = self._handle(request)
+            if len(requests) == 1 or self._timeout_for(request) is not None:
+                responses[i] = self._handle(request, queue_wait_s)
                 continue
             area = request.area if request.area is not None else self.area
             localizer, cache_hit = self._localizer_for(area)
@@ -828,27 +763,22 @@ class LocalizationService:
             ):
                 gate = request.gate
                 if gate is not None:
-                    self.metrics.record_gating(
-                        len(gate.degraded), len(gate.rejected)
-                    )
                     estimate = replace(
                         estimate,
                         confidence=gate.confidence,
                         degradation_reasons=gate.reasons,
                     )
-                self.metrics.record_cache(cache_hit)
                 # Every request in the chunk completes when the chunk
                 # does, so the chunk wall time is each one's latency.
-                self.metrics.record_completed(latency, degraded=False)
-                responses.append(
-                    LocalizationResponse(
-                        query_id=request.query_id,
-                        position=estimate.position,
-                        estimate=estimate,
-                        cache_hit=cache_hit,
-                        latency_s=latency,
-                    )
+                response = LocalizationResponse(
+                    query_id=request.query_id,
+                    position=estimate.position,
+                    estimate=estimate,
+                    cache_hit=cache_hit,
+                    latency_s=latency,
                 )
+                self.metrics.record_response(request, response)
+                responses.append(response)
             return responses
 
     def _solve(

@@ -4,10 +4,39 @@ import enum
 import json
 import math
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from repro.serving import LatencyReservoir, ServiceMetrics, json_safe, percentile
+from repro.core import Anchor
+from repro.geometry import Point
+from repro.serving import (
+    LatencyReservoir,
+    LocalizationRequest,
+    LocalizationResponse,
+    ServiceMetrics,
+    json_safe,
+    percentile,
+)
+
+
+def served(latency_s, cache_hit=False, reason="", gate=None):
+    """A ``(request, response)`` pair for :meth:`record_response`; a
+    non-empty ``reason`` makes it a degraded answer."""
+    request = LocalizationRequest(
+        (Anchor("AP1", Point(0.0, 0.0), 1.0),), gate=gate
+    )
+    response = LocalizationResponse(
+        query_id="",
+        position=Point(0.0, 0.0),
+        estimate=None,
+        degraded=bool(reason),
+        reason=reason,
+        cache_hit=cache_hit,
+        latency_s=latency_s,
+    )
+    return request, response
 
 
 class TestPercentile:
@@ -63,10 +92,8 @@ class TestServiceMetrics:
         m.record_admitted()
         m.record_admitted()
         m.record_rejected()
-        m.record_cache(hit=True)
-        m.record_cache(hit=False)
-        m.record_completed(0.010)
-        m.record_completed(0.030, degraded=True, timed_out=True)
+        m.record_response(*served(0.010, cache_hit=True))
+        m.record_response(*served(0.030, reason="timeout"))
         snap = m.snapshot(queue_depth=5)
         assert snap["admitted"] == 2
         assert snap["rejected"] == 1
@@ -79,6 +106,39 @@ class TestServiceMetrics:
         assert snap["latency_mean_s"] == pytest.approx(0.020)
         assert snap["latency_p50_s"] == pytest.approx(0.020)
         assert snap["throughput_qps"] > 0
+        assert snap["degraded_links_total"] == 0  # ungated traffic
+
+    def test_record_response_reads_reason_and_gate(self):
+        m = ServiceMetrics()
+        gate = SimpleNamespace(degraded=("AP1",), rejected=("AP2", "AP3"))
+        m.record_response(*served(0.01, reason="lp-failure", gate=gate))
+        m.record_response(*served(0.01, gate=gate))
+        snap = m.snapshot()
+        assert snap["completed"] == 2
+        assert snap["degraded"] == 1
+        assert (snap["timeouts"], snap["lp_failures"]) == (0, 1)
+        assert snap["degraded_links_total"] == 2
+        assert snap["rejected_links_total"] == 4
+        assert snap["cache_misses"] == 2
+
+    def test_snapshot_key_set_is_stable(self):
+        # Exporters (the gateway's /metrics document, log shippers) key
+        # on these names; recording any event must not add or drop one.
+        expected = {
+            "admitted", "cache_hit_rate", "cache_hits", "cache_misses",
+            "completed", "degraded", "degraded_links_total",
+            "latency_mean_s", "latency_p50_s", "latency_p95_s",
+            "latency_p99_s", "lp_failures", "queue_depth",
+            "queue_rejected_total", "queue_wait_mean_s", "queue_wait_p50_s",
+            "queue_wait_p95_s", "rejected", "rejected_links_total",
+            "throughput_qps", "timeouts", "uptime_s",
+        }  # fmt: skip
+        m = ServiceMetrics()
+        assert set(m.snapshot()) == expected
+        m.record_admitted()
+        m.record_queue_wait(0.001)
+        m.record_response(*served(0.01, reason="timeout"))
+        assert set(m.snapshot()) == expected
 
     def test_snapshot_is_plain_dict(self):
         snap = ServiceMetrics().snapshot()
@@ -138,7 +198,7 @@ class TestServiceMetricsToJson:
     def test_to_json_dumps_cleanly_with_stable_order(self):
         m = ServiceMetrics()
         m.record_admitted()
-        m.record_completed(0.01)
+        m.record_response(*served(0.01))
         doc = m.to_json(queue_depth=2, queue_rejected=1)
         assert doc == json.loads(json.dumps(doc, sort_keys=True))
         assert list(doc) == sorted(doc)
@@ -149,7 +209,7 @@ class TestServiceMetricsToJson:
     def test_to_json_matches_snapshot_values(self):
         m = ServiceMetrics()
         m.record_admitted()
-        m.record_completed(0.25)
+        m.record_response(*served(0.25))
         snap = m.snapshot()
         doc = m.to_json()
         assert doc["latency_p50_s"] == snap["latency_p50_s"]  # exact floats

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import repro.serving.procpool as procpool_module
+from repro import obs
 from repro.core import NomLocSystem, SystemConfig
 from repro.environment import get_scenario
 from repro.serving import (
@@ -64,21 +65,33 @@ def assert_same_answer(seq, proc):
 
 
 class TestPoolLifecycle:
-    def test_submit_request_matches_sequential(self, lab, requests, reference):
+    def test_submit_of_one_request_matches_inline(self, lab, requests, reference):
+        # A single request is a chunk of one: the worker serves it with
+        # the scalar pipeline (one serve.query span, no stacked pass).
         with ProcessPool(
             lab.plan.boundary, None, ServingConfig(), max_workers=1
         ) as pool:
             for req, seq in zip(requests, reference):
-                assert_same_answer(seq, pool.submit_request(req).result())
+                with obs.capture() as tracer:
+                    (proc,) = pool.submit([req]).result()
+                assert_same_answer(seq, proc)
+                names = [sp.name for sp in tracer.finished()]
+                assert names.count("serve.query") == 1
+                assert "serve.batch" not in names
 
-    def test_submit_chunk_runs_stacked_path(self, lab, requests, reference):
+    def test_submit_of_a_chunk_runs_stacked_path(self, lab, requests, reference):
         with ProcessPool(
             lab.plan.boundary, None, ServingConfig(), max_workers=1
         ) as pool:
-            responses = pool.submit_chunk(requests).result()
+            with obs.capture() as tracer:
+                responses = pool.submit(requests).result()
         assert len(responses) == len(requests)
         for seq, proc in zip(reference, responses):
             assert_same_answer(seq, proc)
+        # The chunk ran the stacked-LP path: one stacked pass.
+        names = [sp.name for sp in tracer.finished()]
+        assert names.count("serve.batch") == 1
+        assert "serve.query" not in names
 
     def test_fork_parent_prewarms_template(self, lab):
         import multiprocessing

@@ -236,6 +236,11 @@ class TestGracefulDegradation:
         with LocalizationService(lab.plan.boundary, config=config) as service:
             with pytest.raises(RuntimeError, match="injected"):
                 service.locate(anchors)
+            snap = service.metrics_snapshot()
+        # A query that raised produced no response, so nothing about it
+        # is recorded: no completion, no cache lookup.
+        assert snap["completed"] == 0
+        assert snap["cache_hits"] + snap["cache_misses"] == 0
 
     def test_expired_deadline_degrades_with_timeout_reason(
         self, lab, anchor_sets
@@ -307,6 +312,57 @@ class TestMicroBatching:
                     chunked.estimate.num_constraints
                     == seq.estimate.num_constraints
                 )
+
+    def test_one_request_tail_chunk_takes_scalar_path(
+        self, lab, anchor_sets, monkeypatch
+    ):
+        # lp_batch only sizes chunks; the chunk picks the solve path.
+        # Five requests at lp_batch=4 are a stacked chunk of four and a
+        # tail chunk of one, which runs the scalar pipeline.
+        lanes = []
+        stacked = localizer_module.NomLocLocalizer.locate_batch
+
+        def spy(self, queries, *args, **kwargs):
+            lanes.append(len(queries))
+            return stacked(self, queries, *args, **kwargs)
+
+        monkeypatch.setattr(
+            localizer_module.NomLocLocalizer, "locate_batch", spy
+        )
+        requests = [
+            LocalizationRequest(a, query_id=f"q{i}")
+            for i, (_, a) in enumerate(anchor_sets[:5])
+        ]
+        config = ServingConfig(lp_batch=4)
+        with LocalizationService(lab.plan.boundary, config=config) as service:
+            served = service.batch(requests)
+        assert lanes == [4]
+        with LocalizationService(lab.plan.boundary) as reference:
+            expected = [reference.locate_request(r) for r in requests]
+        assert lanes == [4]  # the reference never stacks either
+        for seq, got in zip(expected, served):
+            assert got.query_id == seq.query_id
+            assert got.position == seq.position
+            assert got.estimate.relaxation_cost == seq.estimate.relaxation_cost
+            assert got.estimate.num_constraints == seq.estimate.num_constraints
+
+    def test_lp_batch_off_never_stacks(self, lab, anchor_sets, monkeypatch):
+        def no_stacking(*args, **kwargs):
+            raise AssertionError("lp_batch <= 1 must not stack")
+
+        monkeypatch.setattr(
+            localizer_module.NomLocLocalizer, "locate_batch", no_stacking
+        )
+        anchors = [a for _, a in anchor_sets]
+        for lp_batch in (0, 1):
+            config = ServingConfig(lp_batch=lp_batch)
+            with LocalizationService(
+                lab.plan.boundary, config=config
+            ) as service:
+                served = service.batch(anchors)
+                snapshot = service.metrics_snapshot()
+            assert all(not r.degraded for r in served)
+            assert snapshot["completed"] == len(anchors)
 
     def test_deadline_requests_take_scalar_path(self, lab, anchor_sets):
         # A request with its own deadline cannot ride a stacked pass
