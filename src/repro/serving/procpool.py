@@ -105,15 +105,15 @@ def _init_worker(
 
 
 def _handle_batch(
-    requests: Sequence["LocalizationRequest"],
+    requests: list["LocalizationRequest"],
 ) -> list["LocalizationResponse"]:
     """Worker entry point: one chunk through the service's batch path."""
     assert _WORKER_SERVICE is not None, "worker initializer did not run"
-    return _WORKER_SERVICE._handle_batch(list(requests))
+    return _WORKER_SERVICE._handle_batch(requests)
 
 
 def _traced(
-    requests: Sequence["LocalizationRequest"],
+    requests: list["LocalizationRequest"],
 ) -> tuple[list["LocalizationResponse"], list[dict]]:
     """:func:`_handle_batch` under a private tracer; ship its spans."""
     with capture() as tracer:
